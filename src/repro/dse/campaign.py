@@ -37,6 +37,7 @@ finished points.
 import enum
 import os
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -63,7 +64,10 @@ from repro.dse.runner import (
     MEMORY_TARGET,
     SYSTEM_TARGET,
     CampaignRunner,
+    EvaluationSession,
     ProgressCallback,
+    current_session,
+    isolated_call,
     register_batch_target,
     register_target,
 )
@@ -97,26 +101,83 @@ def _json_value(value):
 # -- evaluators (run inside workers) ------------------------------------
 
 
-def _evaluate_memory(spec: Mapping, seed: int, pdk=None) -> Dict:
-    """The memory-point evaluation body, with an optional shared PDK."""
-    from repro.nvsim.config import MemoryConfig
+#: Array organisations whose VAET-STT state one evaluation session
+#: keeps, least recently used out first.  A grid enumerates its axes
+#: last-fastest, so the reliability-constraint variants of one
+#: organisation sit within a window of (product of the axis sizes after
+#: them); the shipped grids put only ``node_nm`` (2 values) there.  Each
+#: kept organisation holds its sampled error-rate population, ~19 MB at
+#: the default 200k cells.
+SHARED_TOOL_WINDOW = 2
+
+
+def _session_pdk(session, node_nm: int):
+    """The session's PDK for a node (built once per session)."""
     from repro.pdk.kit import ProcessDesignKit
+
+    pdks = session.memo("pdk", dict)
+    if node_nm not in pdks:
+        pdks[node_nm] = ProcessDesignKit.for_node(node_nm)
+    return pdks[node_nm]
+
+
+def _session_tool(session, node_nm: int, config, mc_seed: int, population: int):
+    """The session's :class:`~repro.vaet.estimator.VAETSTT` for one
+    organisation, from a :data:`SHARED_TOOL_WINDOW`-sized LRU.
+
+    The key is everything the tool's results depend on except the
+    reliability constraints: node, organisation, Monte Carlo seed and
+    population, and the scalar-reference flag (which selects the
+    kernels, so a flip mid-session must not reuse the other's state).
+    All the session's tools share one memo of per-bit WER budget
+    solves, which depend on the word width and targets only.
+    """
+    from repro.vaet.estimator import VAETSTT
+    from repro.vaet.variation_model import scalar_reference_enabled
+
+    tools = session.memo("vaet-tools", OrderedDict)
+    key = (node_nm, config, mc_seed, population, scalar_reference_enabled())
+    if key in tools:
+        tools.move_to_end(key)
+        return tools[key]
+    tools[key] = VAETSTT(
+        _session_pdk(session, node_nm), config, seed=mc_seed,
+        error_population=population,
+        budgets=session.memo("per-bit-budgets", dict),
+    )
+    while len(tools) > SHARED_TOOL_WINDOW:
+        tools.popitem(last=False)
+    return tools[key]
+
+
+def _evaluate_memory(spec: Mapping, seed: int) -> Dict:
+    """The memory-point evaluation body.
+
+    The PDK and the organisation's VAET-STT tool come from the current
+    :class:`~repro.dse.runner.EvaluationSession`; outside one, from a
+    fresh session, so the point evaluates from scratch.  The result is
+    the same.
+    """
+    from repro.nvsim.config import MemoryConfig
     from repro.vaet.explorer import DesignConstraints, DesignSpaceExplorer
 
     config = MemoryConfig.from_dict(spec["config"])
     constraints = DesignConstraints.from_dict(spec["constraints"])
-    if pdk is None:
-        pdk = ProcessDesignKit.for_node(int(spec["node_nm"]))
+    node = int(spec["node_nm"])
+    population = int(spec.get("error_population", 200_000))
+    chosen_seed = spec.get("seed")
+    mc_seed = seed if chosen_seed is None else int(chosen_seed)
+    session = current_session() or EvaluationSession()
     explorer = DesignSpaceExplorer(
-        pdk,
+        _session_pdk(session, node),
         config,
         constraints,
         num_words=int(spec.get("num_words", 1500)),
-        error_population=int(spec.get("error_population", 200_000)),
+        error_population=population,
     )
-    chosen_seed = spec.get("seed")
     point = explorer.evaluate(
-        config, seed=seed if chosen_seed is None else int(chosen_seed)
+        config, seed=mc_seed,
+        tool=_session_tool(session, node, config, mc_seed, population),
     )
     if point is None:
         return {"feasible": False, "point": None}
@@ -143,29 +204,22 @@ def evaluate_memory_batch(
 ) -> List[Tuple]:
     """Batched twin of :func:`evaluate_memory_point`.
 
-    Evaluates a chunk of points in one worker invocation, sharing the
-    :class:`~repro.pdk.kit.ProcessDesignKit` per node across the chunk
-    (PDK construction re-derives the whole hybrid model and dominates
-    small-point overhead).  Each point keeps its own failure isolation:
-    the returned list holds one ``(ok, result, error, elapsed)``
-    outcome per point, identical to what the scalar path would produce
-    for the same ``(spec, seed)``.
+    Evaluates a chunk of points in one worker invocation inside the
+    current :class:`~repro.dse.runner.EvaluationSession` (or, called
+    bare, one opened for the chunk), so the chunk shares the per-node
+    :class:`~repro.pdk.kit.ProcessDesignKit` — PDK construction
+    re-derives the whole hybrid model and dominates small-point
+    overhead — and each organisation's VAET-STT state.  Each point
+    keeps its own failure isolation: the returned list holds one
+    ``(ok, result, error, elapsed)`` outcome per point, identical to
+    what the scalar path would produce for the same ``(spec, seed)``.
     """
-    from repro.dse.runner import isolated_call
-    from repro.pdk.kit import ProcessDesignKit
-
-    pdks: Dict[int, object] = {}
-
-    def evaluate(spec: Mapping, seed: int) -> Dict:
-        node = int(spec["node_nm"])
-        if node not in pdks:
-            pdks[node] = ProcessDesignKit.for_node(node)
-        return _evaluate_memory(spec, seed, pdks[node])
-
-    return [
-        isolated_call(evaluate, spec, seed)
-        for spec, seed in zip(specs, seeds)
-    ]
+    session = current_session() or EvaluationSession()
+    with session.active():
+        return [
+            isolated_call(_evaluate_memory, spec, seed)
+            for spec, seed in zip(specs, seeds)
+        ]
 
 
 def evaluate_system_point(spec: Mapping, seed: int) -> Dict:
@@ -785,6 +839,7 @@ def run_memory_campaign(
     start = time.perf_counter()
     trace = None
     ftrace = None
+    state = None
     try:
         if sampler in MODEL_SAMPLERS:
             state = CampaignState.open(
@@ -842,9 +897,12 @@ def run_memory_campaign(
                 retry=retry, progress=progress,
             )
     finally:
-        if owns_executor:
-            engine.close()
-    state.close()
+        try:
+            if owns_executor:
+                engine.close()
+        finally:
+            if state is not None:
+                state.close()
     elapsed = time.perf_counter() - start
     return MemoryCampaignResult(
         jobs=jobs, outcomes=outcomes, elapsed=elapsed,
@@ -1109,9 +1167,11 @@ def run_system_campaign(
             retry=retry, progress=progress,
         )
     finally:
-        if owns_executor:
-            engine.close()
-    state.close()
+        try:
+            if owns_executor:
+                engine.close()
+        finally:
+            state.close()
     results = _system_results(flow, cells, outcomes)
     elapsed = time.perf_counter() - start
     return SystemCampaignResult(

@@ -63,12 +63,14 @@ from repro.dse.cache import ResultCache
 from repro.dse.jobs import Job
 from repro.dse.journal import atomic_write_json
 from repro.dse.runner import (
+    EvaluationSession,
     _execute,
     _execute_batch,
     _execute_batch_indexed,
     _execute_indexed,
     default_workers,
     execute_batch_tasks,
+    open_process_session,
     register_target,
 )
 
@@ -140,20 +142,27 @@ class SerialExecutor(Executor):
     """Evaluate in-process, lazily, one job per pull (no pool, no pickling).
 
     Jobs carrying a ``batch_size`` hint evaluate in same-target chunks
-    through the registered batch twin (one pull per chunk)."""
+    through the registered batch twin (one pull per chunk).  The call's
+    evaluations share one :class:`~repro.dse.runner.EvaluationSession`,
+    current only while a point evaluates (never while the consumer
+    handles a yielded outcome)."""
 
     def imap(self, jobs: Sequence[Job]) -> Iterator[Tuple[Job, Outcome]]:
+        session = EvaluationSession()
         for chunk in _chunk_jobs(jobs):
             if len(chunk) == 1:
                 job = chunk[0]
-                yield job, _execute(
-                    (job.target, dict(job.spec), job.seed, job.deadline)
-                )
+                with session.active():
+                    outcome = _execute(
+                        (job.target, dict(job.spec), job.seed, job.deadline)
+                    )
+                yield job, outcome
                 continue
-            outcomes = _execute_batch([
-                (job.target, dict(job.spec), job.seed, job.deadline)
-                for job in chunk
-            ])
+            with session.active():
+                outcomes = _execute_batch([
+                    (job.target, dict(job.spec), job.seed, job.deadline)
+                    for job in chunk
+                ])
             for job, outcome in zip(chunk, outcomes):
                 yield job, outcome
 
@@ -200,7 +209,9 @@ class ProcessPoolExecutor(Executor):
                         ],
                     )
                 )
-            with multiprocessing.Pool(self.workers) as pool:
+            with multiprocessing.Pool(
+                self.workers, initializer=open_process_session
+            ) as pool:
                 for positions, outcomes in pool.imap_unordered(
                     _execute_batch_indexed, payloads, chunksize=1
                 ):
@@ -214,7 +225,10 @@ class ProcessPoolExecutor(Executor):
         chunksize = self.chunksize or max(1, len(payloads) // (self.workers * 4))
         # Abandoning the generator mid-flight (consumer exception) tears
         # the pool down via its context manager, so no workers leak.
-        with multiprocessing.Pool(self.workers) as pool:
+        # Each worker evaluates its share inside one session.
+        with multiprocessing.Pool(
+            self.workers, initializer=open_process_session
+        ) as pool:
             for position, outcome in pool.imap_unordered(
                 _execute_indexed, payloads, chunksize=chunksize
             ):
@@ -924,6 +938,9 @@ def run_worker(
     # first batch, but workers may legitimately start earlier).  A
     # worker on an already-stopped queue winds down via idle_timeout.
     initial_stop = queue.stop_stamp()
+    # One evaluation session for the worker's lifetime: its points are
+    # one run's points, so siblings may share state (see EvaluationSession).
+    session = EvaluationSession()
     while True:
         current_stop = queue.stop_stamp()
         if current_stop is not None and current_stop != initial_stop:
@@ -959,7 +976,8 @@ def run_worker(
                 break
             tasks.append(extra)
             claimed.add(extra["task"])
-        _evaluate_claimed(queue, journal, store, worker, lease_ttl, tasks)
+        with session.active():
+            _evaluate_claimed(queue, journal, store, worker, lease_ttl, tasks)
         evaluated += len(tasks)
     return evaluated
 

@@ -29,7 +29,7 @@ from repro.dse.net.protocol import (
     ProtocolError,
     parse_connect,
 )
-from repro.dse.runner import execute_batch_tasks
+from repro.dse.runner import EvaluationSession, execute_batch_tasks
 
 logger = logging.getLogger(__name__)
 
@@ -153,6 +153,9 @@ def run_network_worker(
     disconnected_since: Optional[float] = None
     rng = random.Random()  # per-worker stream: jitter must differ per worker
     wait = backoff
+    # One evaluation session for the worker's lifetime (see
+    # EvaluationSession): sibling points may share state.
+    session = EvaluationSession()
     try:
         while True:
             if not conn.connected:
@@ -244,7 +247,8 @@ def run_network_worker(
                 deadline=budget,
             )
             try:
-                outcomes = execute_batch_tasks(tasks)
+                with session.active():
+                    outcomes = execute_batch_tasks(tasks)
             finally:
                 heartbeat.stop()
             evaluated += len(tasks)

@@ -23,12 +23,18 @@ The runner turns a list of :class:`~repro.dse.jobs.Job` into
   record on that one point; the campaign completes;
 * **budgeted retries** — with a :class:`~repro.dse.retry.RetryPolicy`,
   failed points re-run with reseeded RNG streams (in backoff-batched
-  rounds) before their failure is final.
+  rounds) before their failure is final;
+* **sibling sharing** — every place points evaluate (the serial loop,
+  each pool worker, each pull/network worker) does so inside an
+  :class:`EvaluationSession`, through which an evaluator may reuse
+  state that several points of the run provably compute identically.
 
 Evaluator functions are registered by name (the job's ``target``) so the
 payload shipped to workers is plain picklable data.
 """
 
+import contextlib
+import contextvars
 import importlib
 import json
 import os
@@ -175,6 +181,61 @@ def get_batch_target(name: str) -> Optional[Callable]:
         import repro.dse.campaign  # noqa: F401  (registers built-ins)
         import repro.dse.executors  # noqa: F401
     return _BATCH_TARGETS.get(name)
+
+
+class EvaluationSession:
+    """Memo space shared by the evaluations of one run.
+
+    An evaluator that finds a session current (:func:`current_session`)
+    may keep state there that later points of the same run reuse — the
+    memory evaluator keeps each array organisation's VAET-STT tool, so
+    the reliability-constraint variants of one organisation sample and
+    solve it once.  Only state that is a pure function of its memo key
+    may go in: a point must produce the same result whether or not a
+    sibling ran before it.
+
+    Sessions are scoped to a run, never to a process: the serial
+    executor opens one per :meth:`~repro.dse.executors.Executor.imap`
+    call, pool workers one per pool (pools live for one ``imap``), and
+    pull/network workers one per worker lifetime.  A bare evaluator call
+    outside those scopes sees no session and evaluates from scratch.
+    """
+
+    def __init__(self):
+        self._memos: Dict[str, object] = {}
+
+    def memo(self, name: str, factory: Callable[[], object]):
+        """The session's ``name`` memo, built by ``factory`` on first use."""
+        if name not in self._memos:
+            self._memos[name] = factory()
+        return self._memos[name]
+
+    @contextlib.contextmanager
+    def active(self) -> Iterator["EvaluationSession"]:
+        """Make this session current for the block (this thread only)."""
+        token = _SESSION.set(self)
+        try:
+            yield self
+        finally:
+            _SESSION.reset(token)
+
+
+#: The current evaluation session; a context variable, so threads (the
+#: in-process workers of the tests, heartbeat threads) never see one
+#: another's session.
+_SESSION: "contextvars.ContextVar[Optional[EvaluationSession]]" = (
+    contextvars.ContextVar("repro_dse_session", default=None)
+)
+
+
+def current_session() -> Optional[EvaluationSession]:
+    """The session evaluations run in, or None outside any run scope."""
+    return _SESSION.get()
+
+
+def open_process_session() -> None:
+    """Pool initializer: one session for the worker process's lifetime."""
+    _SESSION.set(EvaluationSession())
 
 
 def isolated_call(

@@ -17,11 +17,12 @@ grows with t, producing the diminishing returns of Fig. 8.
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Optional
 
 from scipy import optimize, stats
 
 from repro.vaet.error_rates import ErrorRateAnalysis
+from repro.vaet.variation_model import scalar_reference_enabled
 
 
 def bch_parity_bits(data_bits: int, correct_bits: int) -> int:
@@ -93,17 +94,36 @@ class ECCPoint:
 
 
 class ECCAnalysis:
-    """Write-latency vs ECC strength study over one array."""
+    """Write-latency vs ECC strength study over one array.
 
-    def __init__(self, analysis: ErrorRateAnalysis):
+    Args:
+        analysis: The array's margin solver.
+        budgets: Memo of :func:`per_bit_budget` solves, keyed by its
+            arguments.  The solve is pure in them, so one dict may be
+            shared by the analyses of several arrays; by default each
+            analysis keeps its own.
+    """
+
+    def __init__(self, analysis: ErrorRateAnalysis,
+                 budgets: Optional[Dict[tuple, float]] = None):
         self.analysis = analysis
         self.engine = analysis.engine
+        self.budgets = {} if budgets is None else budgets
+        self._floors: Dict[bool, float] = {}
+
+    def stuck_floor(self) -> float:
+        """Population-mean per-cell WER no pulse can beat (1 s pulse:
+        only stuck cells remain), computed once per kernel choice."""
+        kernels = scalar_reference_enabled()
+        if kernels not in self._floors:
+            self._floors[kernels] = self.analysis.mean_cell_wer(1.0)
+        return self._floors[kernels]
 
     def _pulse_for_per_bit_wer(self, per_bit: float) -> float:
         """Invert the population-mean per-cell WER for a pulse width."""
         mean_wer = self.analysis.mean_cell_wer
 
-        floor = mean_wer(1.0)  # 1 s pulse: only stuck cells remain.
+        floor = self.stuck_floor()
         if per_bit <= floor:
             raise ValueError(
                 "per-bit WER %.1e below stuck-cell floor %.1e" % (per_bit, floor)
@@ -137,7 +157,10 @@ class ECCAnalysis:
         data_bits = self.engine.word_bits
         parity = bch_parity_bits(data_bits, correct_bits)
         codeword = data_bits + parity
-        per_bit = per_bit_budget(codeword, correct_bits, target_wer)
+        budget = (codeword, correct_bits, target_wer)
+        if budget not in self.budgets:
+            self.budgets[budget] = per_bit_budget(*budget)
+        per_bit = self.budgets[budget]
         pulse = self._pulse_for_per_bit_wer(per_bit)
         decode = self.decoder_latency(correct_bits, codeword)
         total = self.engine._overhead + 2.0 * pulse + decode

@@ -10,7 +10,7 @@ the importance of variation-aware analysis." (Sec. III)
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -21,11 +21,11 @@ from repro.nvsim.result import MemoryEstimate
 from repro.pdk.kit import ProcessDesignKit
 from repro.utils.table import Table
 from repro.vaet.distributions import DistributionSummary, summarize
-from repro.vaet.ecc import ECCAnalysis
-from repro.vaet.error_rates import ErrorRateAnalysis
+from repro.vaet.ecc import ECCAnalysis, ECCPoint
+from repro.vaet.error_rates import ErrorRateAnalysis, ReadMarginResult
 from repro.vaet.montecarlo import MonteCarloEngine
 from repro.vaet.read_disturb import ReadDisturbAnalysis
-from repro.vaet.variation_model import VariationModel
+from repro.vaet.variation_model import VariationModel, scalar_reference_enabled
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,30 @@ class VariationAwareEstimate:
         return table.render()
 
 
+def _memoised(memo: Dict[tuple, tuple], key: tuple, compute: Callable[[], object]):
+    """``compute()`` memoised under ``key`` and the kernel choice.
+
+    A ValueError (a target the array cannot reach) is memoised too and
+    raised again on every hit.
+    """
+    key = key + (scalar_reference_enabled(),)
+    if key not in memo:
+        try:
+            memo[key] = (True, compute())
+        except ValueError as exc:
+            memo[key] = (False, str(exc))
+    ok, value = memo[key]
+    if not ok:
+        raise ValueError(value)
+    return value
+
+
 class VAETSTT:
     """Variation Aware Estimator Tool for STT-MRAM (paper ref. [6]).
+
+    Every analysis and solve is memoised on the tool, so one instance
+    serves any number of reliability targets over the same array and
+    samples and solves each only once.
 
     Args:
         pdk: Hybrid PDK at the node under study.
@@ -73,6 +95,9 @@ class VAETSTT:
         error_population: Cell population sampled by the margin solver.
             The default reproduces the paper tables; DSE campaigns dial
             it down for throughput.
+        budgets: Memo of per-bit WER budget solves for the ECC study
+            (see :class:`~repro.vaet.ecc.ECCAnalysis`); pass one dict to
+            several tools to share the solves between them.
     """
 
     def __init__(
@@ -82,6 +107,7 @@ class VAETSTT:
         cell_config: Optional[CellConfig] = None,
         seed: int = 2018,
         error_population: int = 200_000,
+        budgets: Optional[Dict[tuple, float]] = None,
     ):
         self.pdk = pdk
         self.config = config
@@ -97,6 +123,8 @@ class VAETSTT:
         self._error_analyses: dict = {}
         self._ecc_analyses: dict = {}
         self._disturb_analyses: dict = {}
+        self._budgets = budgets
+        self._results: Dict[tuple, tuple] = {}
 
     def estimate(
         self, num_words: int = 4000, seed: Optional[int] = None
@@ -107,8 +135,17 @@ class VAETSTT:
             num_words: Sampled word count.
             seed: Explicit RNG seed for this estimate; defaults to the
                 tool seed so existing tables are bit-identical.
+
+        Memoised per (``num_words``, seed).
         """
-        rng = np.random.default_rng(self.seed if seed is None else seed)
+        key = self.seed if seed is None else seed
+        return _memoised(
+            self._results, ("estimate", num_words, key),
+            lambda: self._sample_estimate(num_words, key),
+        )
+
+    def _sample_estimate(self, num_words: int, seed: int) -> VariationAwareEstimate:
+        rng = np.random.default_rng(seed)
         writes = self.engine.sample_writes(rng, num_words)
         reads = self.engine.sample_reads(rng, num_words)
         return VariationAwareEstimate(
@@ -132,8 +169,34 @@ class VAETSTT:
         """The Fig. 8 ECC study (cached per seed, like the margin solver)."""
         key = self.seed
         if key not in self._ecc_analyses:
-            self._ecc_analyses[key] = ECCAnalysis(self.error_rates())
+            self._ecc_analyses[key] = ECCAnalysis(
+                self.error_rates(), budgets=self._budgets
+            )
         return self._ecc_analyses[key]
+
+    def read_margin(self, rer_target: float) -> ReadMarginResult:
+        """The margin solver's read margin at the tool seed, memoised
+        per target.
+
+        Raises:
+            ValueError: If the target is unreachable (also memoised).
+        """
+        return _memoised(
+            self._results, ("read", rer_target),
+            lambda: self.error_rates().read_margin(rer_target),
+        )
+
+    def ecc_point(self, correct_bits: int, wer_target: float) -> ECCPoint:
+        """One point of the ECC study at the tool seed, memoised per
+        (``correct_bits``, ``wer_target``).
+
+        Raises:
+            ValueError: If the target is unreachable (also memoised).
+        """
+        return _memoised(
+            self._results, ("ecc", correct_bits, wer_target),
+            lambda: self.ecc().point(correct_bits, wer_target),
+        )
 
     def read_disturb(self) -> ReadDisturbAnalysis:
         """The Fig. 9 read-disturb study (cached per seed — its

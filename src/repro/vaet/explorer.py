@@ -145,7 +145,10 @@ class DesignSpaceExplorer:
         self.error_population = error_population
 
     def evaluate(
-        self, config: MemoryConfig, seed: Optional[int] = None
+        self,
+        config: MemoryConfig,
+        seed: Optional[int] = None,
+        tool: Optional[VAETSTT] = None,
     ) -> Optional[DesignPoint]:
         """Evaluate one configuration; None if it cannot meet targets.
 
@@ -153,20 +156,35 @@ class DesignSpaceExplorer:
             config: The organisation to evaluate.
             seed: Explicit Monte Carlo seed (defaults to the VAET-STT
                 tool seed, preserving historic sweep outputs).
+            tool: The organisation's VAET-STT tool, to reuse its
+                memoised analyses across reliability constraints; by
+                default a fresh one is built.  Results are identical
+                either way.
+
+        Raises:
+            ValueError: If ``tool`` was built for another organisation,
+                seed or population.
         """
-        if seed is None:
-            tool = VAETSTT(self.pdk, config, error_population=self.error_population)
-        else:
+        if tool is None:
+            seeding = {} if seed is None else {"seed": seed}
             tool = VAETSTT(
-                self.pdk, config, seed=seed, error_population=self.error_population
+                self.pdk, config, error_population=self.error_population,
+                **seeding,
+            )
+        elif (
+            tool.config != config
+            or (seed is not None and tool.seed != seed)
+            or tool.error_population != self.error_population
+        ):
+            raise ValueError(
+                "tool was built for another organisation, seed or population"
             )
         estimate = tool.estimate(num_words=self.num_words)
-        ecc = tool.ecc()
         constraints = self.constraints
         # The read margin and the disturb budget do not depend on the
         # ECC strength — solve them once, outside the t sweep.
         try:
-            read = tool.error_rates().read_margin(constraints.rer_target)
+            read = tool.read_margin(constraints.rer_target)
         except ValueError:
             return None
         disturb = tool.read_disturb()
@@ -175,7 +193,7 @@ class DesignSpaceExplorer:
         best: Optional[DesignPoint] = None
         for t in range(constraints.max_ecc_bits + 1):
             try:
-                point = ecc.point(t, constraints.wer_target)
+                point = tool.ecc_point(t, constraints.wer_target)
             except ValueError:
                 continue
             area = estimate.nominal.area * (1.0 + point.storage_overhead)

@@ -5,6 +5,9 @@ pay for real VAET-STT / MAGPIE evaluations, so they carry the ``slow``
 marker.
 """
 
+import gc
+import warnings
+
 import pytest
 
 from repro.dse import (
@@ -27,6 +30,46 @@ def _space():
 
 class Killed(Exception):
     """Stands in for a SIGKILL mid-campaign."""
+
+
+def _leaked_journals(run) -> list:
+    """ResourceWarnings naming the journal after ``run`` raised Killed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            run()
+        except Killed:
+            pass  # the handler drops the traceback, and its frames
+        gc.collect()
+    return [
+        str(w.message) for w in caught
+        if issubclass(w.category, ResourceWarning)
+        and JOURNAL_NAME in str(w.message)
+    ]
+
+
+def _raise_killed(progress):
+    raise Killed()
+
+
+class TestJournalReleasedOnError:
+    """A campaign whose progress consumer raises still closes its journal."""
+
+    def test_memory_campaign(self, tmp_path):
+        leaked = _leaked_journals(lambda: run_memory_campaign(
+            ParameterSpace().add("subarray_rows", [128, 256]),
+            str(tmp_path / "memory"), fidelity="low",
+            progress=_raise_killed, **SETTINGS,
+        ))
+        assert leaked == []
+
+    def test_system_campaign(self, tmp_path):
+        leaked = _leaked_journals(lambda: run_system_campaign(
+            str(tmp_path / "system"), workloads=["blackscholes"],
+            scenarios=[Scenario.FULL_SRAM], workers=1,
+            progress=_raise_killed,
+        ))
+        assert leaked == []
 
 
 @pytest.mark.slow
