@@ -54,12 +54,16 @@ subsystem every layer plugs into:
   (:class:`~repro.dse.chaos.FaultPlane`) at the engine's persistence
   and network seams, plus the :class:`~repro.dse.chaos.InvariantChecker`
   that replays a campaign directory and asserts its conservation laws;
-* :mod:`repro.dse.campaign` — :func:`explore_memory` (VAET-STT) and
-  :func:`explore_system` (MAGPIE) entry points.
+* :mod:`repro.dse.campaign` — one campaign driver behind the memory
+  (VAET-STT) and system (MAGPIE) entry points:
+  :func:`run_memory_campaign` / :func:`run_system_campaign` journal a
+  campaign in a directory, :func:`explore_memory` /
+  :func:`explore_system` run the same campaign without one.
 
-``DesignSpaceExplorer.sweep_subarrays`` and ``MagpieFlow.run`` are thin
-wrappers over this engine, and ``python -m repro.dse`` drives
-describe/run/resume/status/analyze campaigns from the command line.
+``MagpieFlow.run`` is the same driver, serial and uncached;
+``DesignSpaceExplorer.sweep_subarrays`` runs its jobs on this engine,
+and ``python -m repro.dse`` drives describe/run/resume/status/analyze
+campaigns from the command line.
 """
 
 from repro.dse.adaptive import (

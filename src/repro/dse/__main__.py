@@ -87,11 +87,11 @@ from typing import Dict, List, Optional
 from repro.dse.cache import ResultCache
 from repro.dse.campaign import (
     MODEL_SAMPLERS,
-    SAMPLERS,
+    _make_sampler,
     run_memory_campaign,
     run_system_campaign,
+    validate_options,
 )
-from repro.dse.fidelity import FIDELITY_MODES
 from repro.dse.checkpoint import CampaignState, journal_path
 from repro.dse.executors import (
     CACHE_DIR_NAME,
@@ -178,31 +178,15 @@ def load_spec(path: str) -> Dict:
     if kind == "memory" and not isinstance(spec.get("axes"), dict):
         raise SystemExit('spec %s: memory campaigns need an "axes" object' % path)
     sampler = spec.get("sampler", "grid")
-    if sampler not in SAMPLERS:
-        raise SystemExit(
-            "spec %s: unknown sampler %r; known: %s" % (path, sampler, SAMPLERS)
-        )
+    try:
+        validate_options(kind, sampler, spec.get("fidelity", "high"))
+    except ValueError as exc:
+        raise SystemExit("spec %s: %s" % (path, exc))
     if kind == "system" and sampler != "grid":
         raise SystemExit(
             'spec %s: resumable system campaigns are grid-only; use the '
             "explore_system API for adaptive cell selection" % path
         )
-    fidelity = spec.get("fidelity", "high")
-    if fidelity not in FIDELITY_MODES:
-        raise SystemExit(
-            "spec %s: unknown fidelity %r; known: %s"
-            % (path, fidelity, FIDELITY_MODES)
-        )
-    if fidelity != "high":
-        if kind != "memory":
-            raise SystemExit(
-                'spec %s: "fidelity" applies to memory campaigns only' % path
-            )
-        if sampler in MODEL_SAMPLERS:
-            raise SystemExit(
-                'spec %s: fidelity %r requires a static sampler '
-                '("grid"/"lhs")' % (path, fidelity)
-            )
     if "promote_ranks" in spec:
         ranks = spec["promote_ranks"]
         if not isinstance(ranks, int) or isinstance(ranks, bool) or ranks < 0:
@@ -307,29 +291,18 @@ def cmd_describe(args) -> int:
         print("grid size: %d" % space.size)
         if sampler == "lhs":
             print("lhs jobs:  %s" % spec.get("samples", "(samples missing)"))
-        elif sampler == "adaptive":
-            options = spec.get("sampler_options", {})
-            batch = options.get("batch", 8)
-            rounds = options.get("rounds", 4)
+        elif sampler in MODEL_SAMPLERS:
+            try:
+                model = _make_sampler(sampler, space, spec.get("sampler_options"))
+            except (TypeError, ValueError) as exc:
+                raise SystemExit("spec %s: bad sampler_options: %s" % (args.spec, exc))
             print(
-                "adaptive:  <= %d jobs (%d rounds x %d batch), objectives %s"
+                "%-11s<= %d jobs (%d rounds x %d batch), objectives %s"
                 % (
-                    batch * rounds,
-                    rounds,
-                    batch,
-                    spec.get("objectives", ["edp_proxy"]),
-                )
-            )
-        elif sampler == "surrogate":
-            options = spec.get("sampler_options", {})
-            batch = options.get("batch", 8)
-            rounds = options.get("rounds", 6)
-            print(
-                "surrogate: <= %d jobs (%d rounds x %d batch), objectives %s"
-                % (
-                    batch * rounds,
-                    rounds,
-                    batch,
+                    sampler + ":",
+                    model.batch * model.rounds,
+                    model.rounds,
+                    model.batch,
                     spec.get("objectives", ["edp_proxy"]),
                 )
             )

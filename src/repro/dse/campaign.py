@@ -14,24 +14,30 @@ Two built-in evaluators register with the runner:
 Everything an evaluator needs travels in the spec as plain JSON, so jobs
 pickle cheaply, hash stably, and replay identically from cache.
 
-Entry points :func:`explore_memory` and :func:`explore_system` build the
-job lists from a :class:`~repro.dse.space.ParameterSpace` / grid, run
-them through a (cached, parallel) :class:`CampaignRunner`, and wrap the
-outcomes with Pareto helpers.  Both accept ``sampler="adaptive"`` to
-spend the evaluation budget successively zooming onto the
-objective-promising region instead of covering the whole grid, or
-``sampler="surrogate"`` to drive it with a TPE-style density model.
-Memory campaigns additionally accept ``fidelity="ladder"`` to screen
-the space with the cheap analytic NVSim estimate and re-evaluate only
-the frontier band at full Monte-Carlo fidelity (see
-:mod:`repro.dse.fidelity`).
+One private driver runs every campaign.  Each kind supplies a plan —
+its :class:`~repro.dse.space.ParameterSpace` (the memory axes, or the
+workload x scenario grid), a points -> jobs builder, a record
+extractor, its part of the campaign signature — and the driver builds
+the cache, executor and runner, opens the journal when the campaign has
+a directory, and feeds every batch (the static grid/LHS list, each
+ladder stage, each model-sampler round) through one ``execute``
+closure.
 
-:func:`run_memory_campaign` and :func:`run_system_campaign` are the
-*resumable* entry points: they pin a campaign to a directory holding the
-result cache plus a :class:`~repro.dse.checkpoint.CampaignState`
-journal, so a campaign killed after N of M points continues with
-``resume=True`` exactly where it stopped — zero re-evaluation of the N
-finished points.
+:func:`run_memory_campaign` and :func:`run_system_campaign` pin a
+campaign to a directory holding the result cache plus a
+:class:`~repro.dse.checkpoint.CampaignState` journal, so a campaign
+killed after N of M points continues with ``resume=True`` exactly where
+it stopped — zero re-evaluation of the N finished points.
+:func:`explore_memory` and :func:`explore_system` are the same calls
+without a directory.  Both kinds accept ``sampler="adaptive"`` to spend
+the evaluation budget successively zooming onto the objective-promising
+region instead of covering the whole grid, or ``sampler="surrogate"``
+to drive it with a TPE-style density model.  Memory campaigns
+additionally accept ``sampler="lhs"``, and ``fidelity="ladder"``, which
+screens the space with the cheap analytic NVSim estimate and
+re-evaluates only the frontier band at full Monte-Carlo fidelity (see
+:mod:`repro.dse.fidelity`).  ``MagpieFlow.run`` is the serial,
+uncached system campaign over a flow's own memory records.
 """
 
 import enum
@@ -39,7 +45,7 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dse.adaptive import AdaptiveSampler, AdaptiveTrace, score_records
 from repro.dse.cache import ResultCache
@@ -79,6 +85,9 @@ SAMPLERS = ("grid", "lhs", "adaptive", "surrogate")
 #: The model-driven samplers (propose/evaluate loops over rounds, as
 #: opposed to the static grid/LHS point lists).
 MODEL_SAMPLERS = ("adaptive", "surrogate")
+
+#: Samplers each campaign kind accepts.
+_KIND_SAMPLERS = {"memory": SAMPLERS, "system": ("grid",) + MODEL_SAMPLERS}
 
 #: MemoryConfig field names an axis may override.
 _CONFIG_FIELDS = (
@@ -388,45 +397,6 @@ def _make_sampler(name: str, space, sampler_options):
     return AdaptiveSampler(space, **options)
 
 
-def _run_adaptive(
-    space, build_jobs, execute, record, sampler_options, objectives,
-    sampler: str = "adaptive",
-):
-    """Shared model-driven loop: evaluate batches, score, re-propose.
-
-    Args:
-        build_jobs: points -> jobs.
-        execute: jobs -> outcomes (runner or checkpointed runner).
-        record: (job, outcome) -> scoreable record dict or None.
-        sampler_options: AdaptiveSampler / SurrogateSampler overrides.
-        objectives: Scoring objectives (Pareto ranks when several).
-        sampler: ``"adaptive"`` (successive-halving zoom) or
-            ``"surrogate"`` (TPE-style density-ratio model).
-
-    Returns:
-        (jobs, outcomes, trace) with jobs/outcomes deduplicated across
-        rounds in first-seen order.
-    """
-    all_jobs: List[Job] = []
-    all_outcomes: List[JobResult] = []
-    seen = set()
-
-    def evaluate(points):
-        jobs = build_jobs(points)
-        outcomes = execute(jobs)
-        for job, outcome in zip(jobs, outcomes):
-            if job.key not in seen:
-                seen.add(job.key)
-                all_jobs.append(job)
-                all_outcomes.append(outcome)
-        rows = [record(job, outcome) for job, outcome in zip(jobs, outcomes)]
-        return score_records(rows, objectives)
-
-    driver = _make_sampler(sampler, space, sampler_options)
-    trace = driver.run(evaluate)
-    return all_jobs, all_outcomes, trace
-
-
 @dataclass
 class MemoryCampaignResult:
     """Outcome of :func:`explore_memory` / :func:`run_memory_campaign`.
@@ -507,16 +477,113 @@ class MemoryCampaignResult:
         return pareto_front(self.records(), objectives)
 
 
-def _memory_settings(base_config, constraints):
-    """Default the memory campaign's config/constraint objects."""
-    from repro.nvsim.config import PAPER_ARRAY
-    from repro.vaet.explorer import DesignConstraints
+def _system_row(cell: Tuple[str, object], result) -> Dict:
+    """Flat record of one (kernel, Scenario) cell's ``ScenarioResult``."""
+    energy = result.energy.total_energy
+    return {
+        "workload": cell[0],
+        "scenario": cell[1].value,
+        "exec_time": result.energy.exec_time,
+        "energy": energy,
+        "edp": energy * result.energy.exec_time,
+    }
 
-    if base_config is None:
-        base_config = PAPER_ARRAY
-    if constraints is None:
-        constraints = DesignConstraints()
-    return base_config, constraints
+
+@dataclass
+class SystemCampaignResult:
+    """Outcome of :func:`explore_system` / :func:`run_system_campaign`.
+
+    Attributes:
+        results: (kernel, Scenario) -> ``ScenarioResult`` grid (the
+            evaluated subset, for model-sampled campaigns).
+        elapsed: Campaign wall-clock [s].
+        cache_stats: Cache session counters (None when uncached).
+        adaptive: Sampler trace when the campaign ran a model-driven
+            sampler.
+    """
+
+    results: Dict
+    elapsed: float
+    cache_stats: Optional[Dict] = None
+    adaptive: Optional[AdaptiveTrace] = None
+
+    def records(self) -> List[Dict]:
+        """Grid cells as flat dicts with exec time, energy and EDP."""
+        return [_system_row(cell, result) for cell, result in self.results.items()]
+
+    def pareto(
+        self, objectives: Sequence[ObjectiveSpec] = ("exec_time", "energy")
+    ) -> List[Dict]:
+        """Non-dominated grid cells under the given objectives."""
+        return pareto_front(self.records(), objectives)
+
+
+def _static_points(
+    space: ParameterSpace,
+    sampler: str,
+    samples: Optional[int],
+    sample_seed: int,
+) -> List[Dict]:
+    """Grid or LHS point list for the non-adaptive samplers."""
+    if sampler == "lhs" and samples is None:
+        raise ValueError('sampler="lhs" requires samples')
+    if samples is not None:
+        return space.sample(samples, seed=sample_seed)
+    return list(space.grid())
+
+
+def validate_options(kind: str, sampler: str = "grid", fidelity: str = "high") -> None:
+    """Reject a sampler or fidelity mode a campaign kind cannot run.
+
+    The one check behind every campaign entry point and the CLI's spec
+    validation.
+
+    Raises:
+        ValueError: An unknown sampler or fidelity mode, a non-default
+            fidelity on a system campaign, or a ladder/low fidelity
+            under a model-driven sampler.
+    """
+    samplers = _KIND_SAMPLERS[kind]
+    if sampler not in samplers:
+        raise ValueError(
+            "unknown sampler %r; %s campaigns support %s" % (sampler, kind, samplers)
+        )
+    if fidelity not in FIDELITY_MODES:
+        raise ValueError(
+            "unknown fidelity %r; known: %s" % (fidelity, FIDELITY_MODES)
+        )
+    if fidelity != "high" and kind != "memory":
+        raise ValueError("fidelity=%r applies to memory campaigns only" % (fidelity,))
+    if fidelity != "high" and sampler in MODEL_SAMPLERS:
+        raise ValueError(
+            'fidelity=%r requires a static sampler ("grid"/"lhs"); '
+            "model-driven samplers budget their own evaluations" % (fidelity,)
+        )
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What one campaign kind hands the driver (:func:`_drive`).
+
+    Attributes:
+        kind: ``"memory"`` or ``"system"``; selects the allowed samplers.
+        space: The axes the samplers draw points from.
+        build_jobs: points -> jobs.
+        record: (job, outcome) -> flat scoreable record, or None.
+        signature: The kind's part of the campaign signature.
+        objectives: Default scoring objectives.
+        result: Builds the campaign result from the keyword arguments
+            ``jobs``, ``outcomes``, ``elapsed``, ``cache_stats``,
+            ``adaptive``, ``fidelity`` and ``quarantined``.
+    """
+
+    kind: str
+    space: ParameterSpace
+    build_jobs: Callable[[Iterable[Mapping]], List[Job]]
+    record: Callable[[Job, JobResult], Optional[Dict]]
+    signature: Dict
+    objectives: Tuple
+    result: Callable
 
 
 def _campaign_cache(campaign_dir: str, workers_dirs) -> ResultCache:
@@ -550,185 +617,18 @@ def _campaign_executor(executor, campaign_dir, workers, executor_options):
     return built, built is not executor
 
 
-def _static_points(
-    space: ParameterSpace,
-    sampler: str,
-    samples: Optional[int],
-    sample_seed: int,
-) -> List[Dict]:
-    """Grid or LHS point list for the non-adaptive samplers."""
-    if sampler == "lhs" and samples is None:
-        raise ValueError('sampler="lhs" requires samples')
-    if samples is not None:
-        return space.sample(samples, seed=sample_seed)
-    return list(space.grid())
-
-
-def _validate_fidelity(fidelity: str, sampler: str) -> None:
-    """Reject unknown fidelity modes and model-sampler combinations."""
-    if fidelity not in FIDELITY_MODES:
-        raise ValueError(
-            "unknown fidelity %r; known: %s" % (fidelity, FIDELITY_MODES)
-        )
-    if fidelity != "high" and sampler in MODEL_SAMPLERS:
-        raise ValueError(
-            'fidelity=%r requires a static sampler ("grid"/"lhs"); '
-            "model-driven samplers budget their own evaluations" % (fidelity,)
-        )
-
-
-def explore_memory(
-    space: ParameterSpace,
-    base_config=None,
-    constraints=None,
-    node_nm: int = 45,
-    num_words: int = 1500,
-    error_population: int = 200_000,
-    seed: Optional[int] = 2018,
-    samples: Optional[int] = None,
-    sample_seed: int = 0,
-    cache_dir: Optional[str] = None,
-    workers: Optional[int] = None,
-    runner: Optional[CampaignRunner] = None,
-    sampler: str = "grid",
-    sampler_options: Optional[Dict] = None,
-    objectives: Sequence[ObjectiveSpec] = ("edp_proxy",),
-    retry: Optional[RetryPolicy] = None,
-    progress: Optional[ProgressCallback] = None,
-    batch_size: Optional[int] = None,
-    deadline: Optional[float] = None,
-    fidelity: str = "high",
-    promote_ranks: int = 1,
-) -> MemoryCampaignResult:
-    """Run a memory-level (VAET-STT) campaign over a parameter space.
-
-    Axis names map onto :class:`MemoryConfig` fields, ``DesignConstraints``
-    fields, or the spec-level knobs ``node_nm`` / ``num_words`` /
-    ``error_population`` / ``seed``.  Invalid combinations (e.g. a
-    subarray taller than the array) become per-point error records, not
-    campaign aborts.
-
-    Args:
-        space: The axes to sweep.
-        base_config: Starting organisation (default: the paper array).
-        constraints: Baseline reliability constraints.
-        node_nm: Default PDK node when no ``node_nm`` axis is given.
-        num_words / error_population: Monte Carlo sampling effort.
-        seed: Spec seed for every point (None = per-point content seed).
-        samples: If set, latin-hypercube sample this many points instead
-            of the full grid.
-        sample_seed: LHS permutation seed.
-        cache_dir: Enable the on-disk result cache at this path.
-        workers: Pool size (None = ``REPRO_DSE_WORKERS`` or CPU count).
-        runner: Pre-built runner (overrides cache_dir/workers).
-        sampler: ``"grid"`` (default), ``"lhs"`` (requires ``samples``),
-            ``"adaptive"`` — successive-halving zoom onto the region
-            best under ``objectives`` (see :mod:`repro.dse.adaptive`) —
-            or ``"surrogate"`` — TPE-style density-ratio model over the
-            full space (see :mod:`repro.dse.surrogate`).
-        sampler_options: ``AdaptiveSampler`` overrides (batch, rounds,
-            keep, margin, seed) or ``SurrogateSampler`` overrides
-            (batch, rounds, gamma, candidates, smoothing, init_rounds,
-            seed).
-        objectives: Adaptive scoring objectives over the feasible
-            records (Pareto dominance ranks when more than one).
-        retry: Optional :class:`~repro.dse.retry.RetryPolicy` — failed
-            points re-run with reseeded RNG streams before their
-            failure is final (journal-free here; use
-            :func:`run_memory_campaign` for quarantine bookkeeping).
-        progress: Per-point streaming callback (one
-            :class:`~repro.dse.runner.Progress` snapshot per completed
-            point; adaptive campaigns restart the count each round).
-        batch_size: Evaluate up to this many points per worker
-            invocation through the batched memory evaluator (the PDK
-            is shared across each chunk).  Scheduling hint only —
-            results, cache keys and seeds are identical to unbatched
-            runs.  Ignored when a pre-built ``runner`` is passed.
-        deadline: Per-evaluation wall-clock budget [s] — a point still
-            running past it is reaped and recorded as a timeout
-            failure (see :attr:`~repro.dse.jobs.Job.deadline`).  Like
-            ``batch_size``, a scheduling knob outside the content key;
-            ignored when a pre-built ``runner`` is passed.
-        fidelity: ``"high"`` (default) — every point pays the full
-            Monte-Carlo evaluation; ``"low"`` — every point uses the
-            analytic NVSim-class estimate only (quick sweeps,
-            calibration); ``"ladder"`` — screen every point at low
-            fidelity, then re-evaluate only the frontier band at high
-            fidelity (see :mod:`repro.dse.fidelity`).  Static samplers
-            only.
-        promote_ranks: Ladder promotion depth — low-fidelity Pareto
-            ranks up to this value (under ``objectives``) advance to
-            the Monte-Carlo stage.
-    """
-    if sampler not in SAMPLERS:
-        raise ValueError("unknown sampler %r; known: %s" % (sampler, SAMPLERS))
-    _validate_fidelity(fidelity, sampler)
-    base_config, constraints = _memory_settings(base_config, constraints)
-    if runner is None:
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        runner = CampaignRunner(
-            workers=workers, cache=cache, batch_size=batch_size,
-            deadline=deadline,
-        )
-
-    def build_jobs(points):
-        return _memory_jobs(
-            points, base_config, constraints,
-            node_nm, num_words, error_population, seed,
-        )
-
-    start = time.perf_counter()
-    trace = None
-    ftrace = None
-    if sampler in MODEL_SAMPLERS:
-        jobs, outcomes, trace = _run_adaptive(
-            space,
-            build_jobs,
-            lambda jobs: runner.run(jobs, progress=progress, retry=retry),
-            _memory_record,
-            sampler_options,
-            objectives,
-            sampler=sampler,
-        )
-    else:
-        jobs = build_jobs(_static_points(space, sampler, samples, sample_seed))
-        if fidelity == "low":
-            jobs = [lowfi_twin(job) for job in jobs]
-        if fidelity == "ladder":
-            jobs, outcomes, ftrace = run_ladder(
-                jobs,
-                lambda batch: runner.run(batch, progress=progress, retry=retry),
-                _memory_record,
-                objectives,
-                promote_ranks=promote_ranks,
-            )
-        else:
-            outcomes = runner.run(jobs, progress=progress, retry=retry)
-    elapsed = time.perf_counter() - start
-    stats = runner.cache.stats() if runner.cache is not None else None
-    return MemoryCampaignResult(
-        jobs=jobs, outcomes=outcomes, elapsed=elapsed,
-        cache_stats=stats, adaptive=trace, fidelity=ftrace,
-    )
-
-
-def run_memory_campaign(
-    space: ParameterSpace,
-    campaign_dir: str,
+def _drive(
+    plan: _Plan,
+    campaign_dir: Optional[str],
     resume: bool = False,
     retry_failed: bool = False,
-    base_config=None,
-    constraints=None,
-    node_nm: int = 45,
-    num_words: int = 1500,
-    error_population: int = 200_000,
-    seed: Optional[int] = 2018,
-    samples: Optional[int] = None,
-    sample_seed: int = 0,
+    cache_dir: Optional[str] = None,
     workers: Optional[int] = None,
     sampler: str = "grid",
     sampler_options: Optional[Dict] = None,
-    objectives: Sequence[ObjectiveSpec] = ("edp_proxy",),
+    samples: Optional[int] = None,
+    sample_seed: int = 0,
+    objectives: Optional[Sequence[ObjectiveSpec]] = None,
     retry: Optional[RetryPolicy] = None,
     progress: Optional[ProgressCallback] = None,
     executor=None,
@@ -738,8 +638,250 @@ def run_memory_campaign(
     deadline: Optional[float] = None,
     fidelity: str = "high",
     promote_ranks: int = 1,
+):
+    """The one campaign loop behind every entry point.
+
+    Every batch of jobs — the static grid/LHS list, each ladder stage,
+    each model-sampler round — goes through one ``execute`` closure:
+    the runner alone, or with a ``campaign_dir`` the journaled
+    :func:`~repro.dse.checkpoint.run_checkpointed`.  The options are
+    documented on :func:`run_memory_campaign`.
+    """
+    validate_options(plan.kind, sampler, fidelity)
+    if campaign_dir is None and (resume or retry_failed or workers_dirs):
+        raise ValueError("resume, retry_failed and workers_dirs need a campaign_dir")
+    if campaign_dir is not None and cache_dir is not None:
+        raise ValueError(
+            "cache_dir conflicts with campaign_dir, which holds the campaign's cache"
+        )
+    if samples is not None and plan.kind != "memory":
+        raise ValueError("samples (LHS) applies to memory campaigns only")
+    objectives = plan.objectives if objectives is None else objectives
+    signature = dict(plan.signature)
+    if plan.kind == "memory" or sampler != "grid":
+        # Plain system grids never stamped these, so leaving them out
+        # keeps those journals' campaign keys (and resumability).
+        signature.update(
+            samples=samples,
+            sample_seed=sample_seed,
+            sampler=sampler,
+            sampler_options=dict(sampler_options or {}),
+            objectives=[list(o) if isinstance(o, tuple) else o for o in objectives],
+        )
+    if fidelity != "high":
+        # Only non-default modes stamp the signature, so campaign keys
+        # (and therefore resumability) of existing journals are stable.
+        signature.update(fidelity=fidelity, promote_ranks=promote_ranks)
+    static: List[Job] = []
+    if sampler not in MODEL_SAMPLERS:
+        static = plan.build_jobs(_static_points(plan.space, sampler, samples, sample_seed))
+        if fidelity == "low":
+            static = [lowfi_twin(job) for job in static]
+    if campaign_dir is not None:
+        cache = _campaign_cache(campaign_dir, workers_dirs)
+    else:
+        cache = ResultCache(cache_dir) if cache_dir is not None else None
+    engine, owns_executor = _campaign_executor(
+        executor, campaign_dir, workers, executor_options
+    )
+    runner = state = None
+    planned = 0
+    evaluated: Dict[str, Tuple[Job, JobResult]] = {}
+
+    def execute(jobs):
+        nonlocal planned
+        if state is None:
+            return runner.run(jobs, progress=progress, retry=retry)
+        # The journal's total grows as model rounds and ladder
+        # promotions become known.
+        planned += len(jobs)
+        state.total = max(state.total, planned)
+        return run_checkpointed(
+            jobs, runner, state, retry_failed=retry_failed,
+            retry=retry, progress=progress,
+        )
+
+    def evaluate(points):
+        batch = plan.build_jobs(points)
+        outcomes = execute(batch)
+        for job, outcome in zip(batch, outcomes):
+            evaluated.setdefault(job.key, (job, outcome))
+        rows = [plan.record(job, outcome) for job, outcome in zip(batch, outcomes)]
+        return score_records(rows, objectives)
+
+    trace = ladder = None
+    start = time.perf_counter()
+    try:
+        runner = CampaignRunner(
+            workers=workers, cache=cache, executor=engine,
+            batch_size=batch_size, deadline=deadline,
+        )
+        if campaign_dir is not None:
+            state = CampaignState.open(
+                journal_path(campaign_dir, prefer_existing=resume),
+                campaign_key(signature), total=len(static),
+                resume=resume, meta=signature,
+            )
+        if sampler in MODEL_SAMPLERS:
+            trace = _make_sampler(sampler, plan.space, sampler_options).run(evaluate)
+            jobs = [job for job, _ in evaluated.values()]
+            outcomes = [outcome for _, outcome in evaluated.values()]
+        elif fidelity == "ladder":
+            jobs, outcomes, ladder = run_ladder(
+                static, execute, plan.record, objectives,
+                promote_ranks=promote_ranks,
+            )
+        else:
+            jobs, outcomes = static, execute(static)
+    finally:
+        try:
+            if owns_executor:
+                engine.close()
+        finally:
+            if state is not None:
+                state.close()
+    return plan.result(
+        jobs=jobs, outcomes=outcomes, elapsed=time.perf_counter() - start,
+        cache_stats=cache.stats() if cache is not None else None,
+        adaptive=trace, fidelity=ladder,
+        quarantined=sorted(state.quarantined) if state is not None else [],
+    )
+
+
+def _memory_plan(
+    space, base_config, constraints, node_nm, num_words, error_population, seed
+) -> _Plan:
+    """The memory-level (VAET-STT) campaign plan."""
+    from repro.nvsim.config import PAPER_ARRAY
+    from repro.vaet.explorer import DesignConstraints
+
+    base_config = PAPER_ARRAY if base_config is None else base_config
+    constraints = DesignConstraints() if constraints is None else constraints
+    settings = dict(
+        node_nm=node_nm, num_words=num_words,
+        error_population=error_population, seed=seed,
+    )
+    return _Plan(
+        kind="memory",
+        space=space,
+        build_jobs=lambda points: _memory_jobs(
+            points, base_config, constraints, **settings
+        ),
+        record=_memory_record,
+        signature=dict(
+            kind="memory", axes=_space_signature(space),
+            base_config=base_config.to_dict(),
+            constraints=constraints.to_dict(), **settings,
+        ),
+        objectives=("edp_proxy",),
+        result=MemoryCampaignResult,
+    )
+
+
+def _system_cell(flow, job: Job, outcome: JobResult):
+    """``((kernel, Scenario), ScenarioResult)`` of one system outcome.
+
+    Raises:
+        RuntimeError: On a failed cell (system campaigns keep the
+            historic fail-fast contract of ``MagpieFlow.run``).
+    """
+    from repro.archsim.stats import ActivityReport
+    from repro.magpie.flow import ScenarioResult
+    from repro.magpie.scenarios import Scenario
+    from repro.mcpat.components import estimate_energy
+
+    name, scenario = job.spec["workload"]["name"], Scenario(job.spec["scenario"])
+    if not outcome.ok:
+        raise RuntimeError(
+            "MAGPIE job (%s, %s) failed: %s" % (name, scenario.value, outcome.error)
+        )
+    report = ActivityReport.parse(outcome.result["report"])
+    energy = estimate_energy(flow.build_soc(scenario), report)
+    return (name, scenario), ScenarioResult(
+        scenario=scenario, report=report, energy=energy
+    )
+
+
+def _system_plan(flow, workloads=None, scenarios=None) -> _Plan:
+    """The system-level (MAGPIE) campaign plan over a flow's grid.
+
+    The space is the workload x scenario grid; every cell's job carries
+    the flow's memory-level records, computed once per flow.
+
+    Raises:
+        KeyError: On unknown kernel names or scenario values.
+    """
+    from repro.archsim.workloads import PARSEC_KERNELS
+    from repro.magpie.scenarios import Scenario
+
+    names, chosen = flow.validate_grid(workloads, scenarios)
+    values = [scenario.value for scenario in chosen]
+
+    def build_jobs(points):
+        return [
+            Job(SYSTEM_TARGET, system_point_spec(
+                flow, PARSEC_KERNELS[point["workload"]], Scenario(point["scenario"])
+            ))
+            for point in points
+        ]
+
+    def result(jobs, outcomes, elapsed, cache_stats, adaptive, **_):
+        cells = dict(_system_cell(flow, j, o) for j, o in zip(jobs, outcomes))
+        return SystemCampaignResult(
+            results=cells, elapsed=elapsed, cache_stats=cache_stats,
+            adaptive=adaptive,
+        )
+
+    return _Plan(
+        kind="system",
+        space=ParameterSpace([("workload", names), ("scenario", values)]),
+        build_jobs=build_jobs,
+        record=lambda job, outcome: _system_row(*_system_cell(flow, job, outcome)),
+        signature={
+            "kind": "system",
+            "workloads": names,
+            "scenarios": values,
+            "node_nm": flow.node_nm,
+            "wer_target": flow.wer_target,
+            "base": flow.base.to_dict(),
+        },
+        objectives=("edp",),
+        result=result,
+    )
+
+
+def explore_memory(space: ParameterSpace, **options) -> MemoryCampaignResult:
+    """Run a memory-level (VAET-STT) campaign over a parameter space.
+
+    :func:`run_memory_campaign` without a campaign directory: no
+    journal, and a result cache only when ``cache_dir`` is given.
+    ``resume``, ``retry_failed`` and ``workers_dirs`` need a directory
+    and are rejected here.  A ``retry`` policy re-runs failed points
+    with reseeded RNG streams, without quarantine bookkeeping.
+    """
+    return run_memory_campaign(space, None, **options)
+
+
+def run_memory_campaign(
+    space: ParameterSpace,
+    campaign_dir: Optional[str],
+    resume: bool = False,
+    retry_failed: bool = False,
+    base_config=None,
+    constraints=None,
+    node_nm: int = 45,
+    num_words: int = 1500,
+    error_population: int = 200_000,
+    seed: Optional[int] = 2018,
+    **options,
 ) -> MemoryCampaignResult:
-    """Resumable :func:`explore_memory`: cache + journal in a directory.
+    """Resumable memory-level (VAET-STT) campaign: cache + journal in a directory.
+
+    Axis names map onto :class:`MemoryConfig` fields, ``DesignConstraints``
+    fields, or the spec-level knobs ``node_nm`` / ``num_words`` /
+    ``error_population`` / ``seed``.  Invalid combinations (e.g. a
+    subarray taller than the array) become per-point error records, not
+    campaign aborts.
 
     ``campaign_dir`` holds the result cache (``cache/``) and the
     append-only JSONL journal (``journal.jsonl``; legacy
@@ -747,20 +889,52 @@ def run_memory_campaign(
     both written as results arrive.  A campaign killed after N of M
     points continues with ``resume=True``: the N finished points come
     back as cache/journal hits (zero re-evaluation) and the results are
-    identical to an uninterrupted run.
+    identical to an uninterrupted run.  With ``campaign_dir=None`` the
+    campaign is :func:`explore_memory`.
 
     Args:
-        campaign_dir: Campaign home; created on first write.
+        space: The axes to sweep.
+        campaign_dir: Campaign home, created on first write; None runs
+            without a journal.
         resume: Continue an existing journal instead of starting fresh.
             Refuses a journal whose signature (axes + settings +
             sampler) differs from this call's.
         retry_failed: Re-run points the journal marks failed instead of
             replaying their recorded errors (quarantined points are
             released first).
+        base_config: Starting organisation (default: the paper array).
+        constraints: Baseline reliability constraints.
+        node_nm: Default PDK node when no ``node_nm`` axis is given.
+        num_words / error_population: Monte Carlo sampling effort.
+        seed: Spec seed for every point (None = per-point content seed).
+
+    Keyword options (shared with :func:`run_system_campaign`):
+        cache_dir: Result cache path for a campaign without a
+            directory (a ``campaign_dir`` holds its own cache).
+        workers: Pool size (None = ``REPRO_DSE_WORKERS`` or CPU count).
+        sampler: ``"grid"`` (default), ``"lhs"`` (requires ``samples``),
+            ``"adaptive"`` — successive-halving zoom onto the region
+            best under ``objectives`` (see :mod:`repro.dse.adaptive`) —
+            or ``"surrogate"`` — TPE-style density-ratio model over the
+            full space (see :mod:`repro.dse.surrogate`).
+        sampler_options: ``AdaptiveSampler`` overrides (batch, rounds,
+            keep, margin, seed) or ``SurrogateSampler`` overrides
+            (batch, rounds, gamma, candidates, smoothing, init_rounds,
+            seed).
+        samples: If set, latin-hypercube sample this many points instead
+            of the full grid.
+        sample_seed: LHS permutation seed.
+        objectives: Scoring objectives over the feasible records
+            (Pareto dominance ranks when more than one; default
+            ``("edp_proxy",)``).
         retry: Optional :class:`~repro.dse.retry.RetryPolicy` — failed
             points re-run with reseeded RNG streams, each retry is
             journaled (the budget spans resumes), and budget-exhausted
             points are quarantined.
+        progress: Per-point streaming callback (one
+            :class:`~repro.dse.runner.Progress` snapshot per completed
+            point; model-sampled campaigns restart the count each
+            round).
         executor: Execution backend: ``"serial"``, ``"pool"``,
             ``"worker-pull"`` (points are leased to independent
             ``python -m repro.dse worker`` processes sharing this
@@ -778,402 +952,92 @@ def run_memory_campaign(
             the campaign cache before running.
         batch_size: Evaluate up to this many points per worker
             invocation (every executor honours it: pool workers chunk,
-            pull/network workers lease chunks).  Like the executor, it
-            changes *how* points evaluate, never the journal format,
-            the campaign signature, or the results — a resumed
-            campaign may freely change it.
+            pull/network workers lease chunks, and memory points share
+            the PDK across a chunk).  Like the executor, it changes
+            *how* points evaluate, never the journal format, the
+            campaign signature, or the results — a resumed campaign may
+            freely change it.
         deadline: Per-evaluation wall-clock budget [s]; evaluations
             still running past it are reaped and journaled as timeout
             failures (retryable / quarantinable under ``retry``,
             counted by ``status``).  A scheduling knob like
             ``batch_size`` — outside the content key and the campaign
             signature, so a resumed campaign may freely change it.
-        fidelity / promote_ranks: Multi-fidelity mode, as in
-            :func:`explore_memory`.  Fidelity is part of every job's
+        fidelity: ``"high"`` (default) — every point pays the full
+            Monte-Carlo evaluation; ``"low"`` — every point uses the
+            analytic NVSim-class estimate only (quick sweeps,
+            calibration); ``"ladder"`` — screen every point at low
+            fidelity, then re-evaluate only the frontier band at high
+            fidelity (see :mod:`repro.dse.fidelity`).  Static samplers
+            and memory campaigns only.  Fidelity is part of every job's
             content key *and* (for non-default modes) the campaign
             signature, so screens and confirms journal and resume
             independently and a ladder campaign never mixes with a
             plain one in the same directory.
-        (Remaining arguments are as in :func:`explore_memory`.)
-    """
-    if sampler not in SAMPLERS:
-        raise ValueError("unknown sampler %r; known: %s" % (sampler, SAMPLERS))
-    _validate_fidelity(fidelity, sampler)
-    base_config, constraints = _memory_settings(base_config, constraints)
-    signature = {
-        "kind": "memory",
-        "axes": _space_signature(space),
-        "base_config": base_config.to_dict(),
-        "constraints": constraints.to_dict(),
-        "node_nm": node_nm,
-        "num_words": num_words,
-        "error_population": error_population,
-        "seed": seed,
-        "samples": samples,
-        "sample_seed": sample_seed,
-        "sampler": sampler,
-        "sampler_options": dict(sampler_options or {}),
-        "objectives": [list(o) if isinstance(o, tuple) else o for o in objectives],
-    }
-    if fidelity != "high":
-        # Only non-default modes stamp the signature, so campaign keys
-        # (and therefore resumability) of existing journals are stable.
-        signature["fidelity"] = fidelity
-        signature["promote_ranks"] = promote_ranks
-    cache = _campaign_cache(campaign_dir, workers_dirs)
-    engine, owns_executor = _campaign_executor(
-        executor, campaign_dir, workers, executor_options
-    )
-    runner = CampaignRunner(
-        workers=workers, cache=cache, executor=engine,
-        batch_size=batch_size, deadline=deadline,
-    )
-    journal = journal_path(campaign_dir, prefer_existing=resume)
-
-    def build_jobs(points):
-        return _memory_jobs(
-            points, base_config, constraints,
-            node_nm, num_words, error_population, seed,
-        )
-
-    start = time.perf_counter()
-    trace = None
-    ftrace = None
-    state = None
-    try:
-        if sampler in MODEL_SAMPLERS:
-            state = CampaignState.open(
-                journal, campaign_key(signature), total=0,
-                resume=resume, meta=signature,
-            )
-            planned = 0
-
-            def execute(jobs):
-                nonlocal planned
-                planned += len(jobs)
-                state.total = max(state.total, planned)
-                return run_checkpointed(
-                    jobs, runner, state, retry_failed=retry_failed,
-                    retry=retry, progress=progress,
-                )
-
-            jobs, outcomes, trace = _run_adaptive(
-                space, build_jobs, execute, _memory_record,
-                sampler_options, objectives, sampler=sampler,
-            )
-        elif fidelity == "ladder":
-            jobs = build_jobs(_static_points(space, sampler, samples, sample_seed))
-            # Total starts at the screening count and grows as the
-            # promoted subset becomes known, like the model samplers.
-            state = CampaignState.open(
-                journal, campaign_key(signature), total=len(jobs),
-                resume=resume, meta=signature,
-            )
-            planned = 0
-
-            def execute(batch):
-                nonlocal planned
-                planned += len(batch)
-                state.total = max(state.total, planned)
-                return run_checkpointed(
-                    batch, runner, state, retry_failed=retry_failed,
-                    retry=retry, progress=progress,
-                )
-
-            jobs, outcomes, ftrace = run_ladder(
-                jobs, execute, _memory_record, objectives,
-                promote_ranks=promote_ranks,
-            )
-        else:
-            jobs = build_jobs(_static_points(space, sampler, samples, sample_seed))
-            if fidelity == "low":
-                jobs = [lowfi_twin(job) for job in jobs]
-            state = CampaignState.open(
-                journal, campaign_key(signature), total=len(jobs),
-                resume=resume, meta=signature,
-            )
-            outcomes = run_checkpointed(
-                jobs, runner, state, retry_failed=retry_failed,
-                retry=retry, progress=progress,
-            )
-    finally:
-        try:
-            if owns_executor:
-                engine.close()
-        finally:
-            if state is not None:
-                state.close()
-    elapsed = time.perf_counter() - start
-    return MemoryCampaignResult(
-        jobs=jobs, outcomes=outcomes, elapsed=elapsed,
-        cache_stats=cache.stats(), adaptive=trace, fidelity=ftrace,
-        quarantined=sorted(state.quarantined),
-    )
-
-
-def _system_row(kernel: str, scenario, cell) -> Dict:
-    """Flat record of one (kernel, scenario) cell."""
-    energy = cell.energy.total_energy
-    return {
-        "workload": kernel,
-        "scenario": scenario.value,
-        "exec_time": cell.energy.exec_time,
-        "energy": energy,
-        "edp": energy * cell.energy.exec_time,
-    }
-
-
-def _system_jobs(flow, cells: Sequence[Tuple[str, object]]) -> List[Job]:
-    """System-level jobs for (kernel name, Scenario) cells."""
-    from repro.archsim.workloads import PARSEC_KERNELS
-
-    return [
-        Job(SYSTEM_TARGET, system_point_spec(flow, PARSEC_KERNELS[name], scenario))
-        for name, scenario in cells
-    ]
-
-
-def _system_results(flow, cells, outcomes) -> Dict:
-    """Parse cell outcomes into the (kernel, Scenario) -> result grid.
+        promote_ranks: Ladder promotion depth — low-fidelity Pareto
+            ranks up to this value (under ``objectives``) advance to
+            the Monte-Carlo stage.
 
     Raises:
-        RuntimeError: On any failed cell (system campaigns keep the
-            historic fail-fast contract of ``MagpieFlow.run``).
+        ValueError: An option :func:`validate_options` rejects;
+            ``resume``, ``retry_failed`` or ``workers_dirs`` without a
+            ``campaign_dir``; ``cache_dir`` with one; ``samples`` on a
+            system campaign.
     """
-    from repro.archsim.stats import ActivityReport
-    from repro.magpie.flow import ScenarioResult
-    from repro.mcpat.components import estimate_energy
-
-    results: Dict = {}
-    for (name, scenario), outcome in zip(cells, outcomes):
-        if not outcome.ok:
-            raise RuntimeError(
-                "MAGPIE job (%s, %s) failed: %s"
-                % (name, scenario.value, outcome.error)
-            )
-        report = ActivityReport.parse(outcome.result["report"])
-        soc = flow.build_soc(scenario)
-        energy = estimate_energy(soc, report)
-        results[(name, scenario)] = ScenarioResult(
-            scenario=scenario, report=report, energy=energy
-        )
-    return results
-
-
-def run_system_cells(
-    flow,
-    cells: Sequence[Tuple[str, object]],
-    runner: CampaignRunner,
-    progress: Optional[ProgressCallback] = None,
-) -> Dict:
-    """Evaluate (kernel, Scenario) cells through the engine.
-
-    The shared core of ``MagpieFlow.run`` and the system campaign entry
-    points: each cell is a content-hashed job carrying the memory-level
-    records, so caching/parallel runners drop in transparently.
-    """
-    jobs = _system_jobs(flow, cells)
-    outcomes = runner.run(jobs, progress=progress)
-    return _system_results(flow, cells, outcomes)
-
-
-@dataclass
-class SystemCampaignResult:
-    """Outcome of :func:`explore_system` / :func:`run_system_campaign`.
-
-    Attributes:
-        results: (kernel, Scenario) -> ``ScenarioResult`` grid (the
-            evaluated subset, for adaptive campaigns).
-        elapsed: Campaign wall-clock [s].
-        cache_stats: Cache session counters (None when uncached).
-        adaptive: Zoom trace when the campaign ran ``sampler="adaptive"``.
-    """
-
-    results: Dict
-    elapsed: float
-    cache_stats: Optional[Dict] = None
-    adaptive: Optional[AdaptiveTrace] = None
-
-    def records(self) -> List[Dict]:
-        """Grid cells as flat dicts with exec time, energy and EDP."""
-        return [
-            _system_row(kernel, scenario, cell)
-            for (kernel, scenario), cell in self.results.items()
-        ]
-
-    def pareto(
-        self, objectives: Sequence[ObjectiveSpec] = ("exec_time", "energy")
-    ) -> List[Dict]:
-        """Non-dominated grid cells under the given objectives."""
-        return pareto_front(self.records(), objectives)
+    plan = _memory_plan(
+        space, base_config, constraints, node_nm, num_words, error_population, seed
+    )
+    return _drive(
+        plan, campaign_dir, resume=resume, retry_failed=retry_failed, **options
+    )
 
 
 def explore_system(
     workloads: Optional[Iterable[str]] = None,
     scenarios: Optional[Iterable] = None,
-    node_nm: int = 45,
-    base=None,
-    wer_target: float = 1e-9,
-    cache_dir: Optional[str] = None,
-    workers: Optional[int] = None,
-    runner: Optional[CampaignRunner] = None,
-    sampler: str = "grid",
-    sampler_options: Optional[Dict] = None,
-    objectives: Sequence[ObjectiveSpec] = ("edp",),
-    progress: Optional[ProgressCallback] = None,
-    deadline: Optional[float] = None,
+    **options,
 ) -> SystemCampaignResult:
     """Run a system-level (MAGPIE) campaign over a kernel x scenario grid.
 
-    Args:
-        workloads / scenarios: Grid axes (defaults: all kernels, all
-            four paper scenarios).
-        node_nm / base / wer_target: ``MagpieFlow`` settings; the memory
-            level runs once and its records are shared by every cell.
-        cache_dir / workers / runner: Engine settings, as in
-            :func:`explore_memory`.
-        sampler: ``"grid"`` (default, the full cross product),
-            ``"adaptive"`` — zoom onto the cells best under
-            ``objectives`` instead of evaluating every cell — or
-            ``"surrogate"`` — model the good cells with the TPE-style
-            density-ratio sampler.
-        sampler_options / objectives / progress: As in
-            :func:`explore_memory` (default objective: EDP).
+    :func:`run_system_campaign` without a campaign directory, as
+    :func:`explore_memory` is to :func:`run_memory_campaign`.
     """
-    if sampler not in ("grid",) + MODEL_SAMPLERS:
-        raise ValueError(
-            'unknown sampler %r; system campaigns support "grid", '
-            '"adaptive" and "surrogate"' % (sampler,)
-        )
-    from repro.magpie.flow import MagpieFlow
-
-    flow = MagpieFlow(node_nm=node_nm, base=base, wer_target=wer_target)
-    if runner is None:
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        runner = CampaignRunner(workers=workers, cache=cache, deadline=deadline)
-
-    start = time.perf_counter()
-    trace = None
-    if sampler in MODEL_SAMPLERS:
-        results, trace = _adaptive_system(
-            flow, workloads, scenarios, runner,
-            sampler_options, objectives, progress, sampler=sampler,
-        )
-    else:
-        results = flow.run(
-            workloads=workloads, scenarios=scenarios, runner=runner,
-            progress=progress,
-        )
-    elapsed = time.perf_counter() - start
-    stats = runner.cache.stats() if runner.cache is not None else None
-    return SystemCampaignResult(
-        results=results, elapsed=elapsed, cache_stats=stats, adaptive=trace
-    )
-
-
-def _adaptive_system(
-    flow, workloads, scenarios, runner, sampler_options, objectives, progress,
-    sampler: str = "adaptive",
-):
-    """Model-driven cell selection over the workload x scenario grid."""
-    from repro.magpie.scenarios import Scenario
-
-    names, chosen = flow.validate_grid(workloads, scenarios)
-    space = ParameterSpace(
-        [("workload", names), ("scenario", [s.value for s in chosen])]
-    )
-    results: Dict = {}
-
-    def evaluate(points):
-        cells = [
-            (point["workload"], Scenario(point["scenario"])) for point in points
-        ]
-        batch = run_system_cells(flow, cells, runner, progress=progress)
-        results.update(batch)
-        rows = [
-            _system_row(name, scenario, batch[(name, scenario)])
-            for name, scenario in cells
-        ]
-        return score_records(rows, objectives)
-
-    driver = _make_sampler(sampler, space, sampler_options)
-    trace = driver.run(evaluate)
-    return results, trace
+    return run_system_campaign(None, workloads, scenarios, **options)
 
 
 def run_system_campaign(
-    campaign_dir: str,
+    campaign_dir: Optional[str],
     workloads: Optional[Iterable[str]] = None,
     scenarios: Optional[Iterable] = None,
     node_nm: int = 45,
     base=None,
     wer_target: float = 1e-9,
-    resume: bool = False,
-    retry_failed: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    workers: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    executor=None,
-    executor_options: Optional[Dict] = None,
-    workers_dirs: Optional[Sequence[str]] = None,
-    batch_size: Optional[int] = None,
-    deadline: Optional[float] = None,
+    **options,
 ) -> SystemCampaignResult:
-    """Resumable :func:`explore_system`: cache + journal in a directory.
+    """Resumable system-level (MAGPIE) campaign: cache + journal in a directory.
 
-    The full kernel x scenario grid with every completed cell journaled
-    as it lands; ``resume=True`` finishes a killed campaign without
+    Every completed cell of the kernel x scenario grid is journaled as
+    it lands; ``resume=True`` finishes a killed campaign without
     re-simulating completed cells (they replay from the cache).  A
     ``retry`` policy re-runs failed cells (journaled, budget spans
-    resumes) before the grid's fail-fast contract raises.  See
-    :func:`run_memory_campaign` for the directory layout, the
-    ``executor`` / ``executor_options`` / ``workers_dirs`` plumbing,
-    and the resume semantics.
+    resumes) before the grid's fail-fast contract raises
+    ``RuntimeError``.
+
+    Args:
+        campaign_dir: Campaign home; None runs without a journal
+            (:func:`explore_system`).
+        workloads / scenarios: Grid axes (defaults: all kernels, all
+            four paper scenarios).
+        node_nm / base / wer_target: ``MagpieFlow`` settings; the memory
+            level runs once and its records are shared by every cell.
+        **options: As in :func:`run_memory_campaign`, except that
+            ``sampler`` is ``"grid"`` (default, the full cross
+            product), ``"adaptive"`` or ``"surrogate"`` (evaluate only
+            the cells the sampler proposes), ``objectives`` default to
+            ``("edp",)``, and ``samples`` and a non-default
+            ``fidelity`` are rejected.
     """
     from repro.magpie.flow import MagpieFlow
 
     flow = MagpieFlow(node_nm=node_nm, base=base, wer_target=wer_target)
-    names, chosen = flow.validate_grid(workloads, scenarios)
-    cells = [(name, scenario) for name in names for scenario in chosen]
-    signature = {
-        "kind": "system",
-        "workloads": names,
-        "scenarios": [s.value for s in chosen],
-        "node_nm": node_nm,
-        "wer_target": wer_target,
-        "base": flow.base.to_dict(),
-    }
-    cache = _campaign_cache(campaign_dir, workers_dirs)
-    engine, owns_executor = _campaign_executor(
-        executor, campaign_dir, workers, executor_options
-    )
-    runner = CampaignRunner(
-        workers=workers, cache=cache, executor=engine,
-        batch_size=batch_size, deadline=deadline,
-    )
-    jobs = _system_jobs(flow, cells)
-    journal = journal_path(campaign_dir, prefer_existing=resume)
-    state = CampaignState.open(
-        journal,
-        campaign_key(signature),
-        total=len(jobs),
-        resume=resume,
-        meta=signature,
-    )
-    start = time.perf_counter()
-    try:
-        outcomes = run_checkpointed(
-            jobs, runner, state, retry_failed=retry_failed,
-            retry=retry, progress=progress,
-        )
-    finally:
-        try:
-            if owns_executor:
-                engine.close()
-        finally:
-            state.close()
-    results = _system_results(flow, cells, outcomes)
-    elapsed = time.perf_counter() - start
-    return SystemCampaignResult(
-        results=results, elapsed=elapsed, cache_stats=cache.stats()
-    )
+    return _drive(_system_plan(flow, workloads, scenarios), campaign_dir, **options)

@@ -146,36 +146,29 @@ class MagpieFlow:
         self,
         workloads: Optional[Iterable[str]] = None,
         scenarios: Optional[Iterable[Scenario]] = None,
-        runner=None,
         progress=None,
     ) -> Dict[Tuple[str, Scenario], ScenarioResult]:
         """Evaluate a kernel x scenario grid.
 
-        The grid runs on the :mod:`repro.dse` engine: each (kernel,
-        scenario) cell is a content-hashed job carrying the memory-level
-        records, so a caching/parallel ``CampaignRunner`` can be passed
-        in.  The default serial runner reproduces the historic
-        cell-by-cell outputs exactly.
+        The grid is a serial, uncached :mod:`repro.dse` system campaign
+        over this flow's memory-level records: each (kernel, scenario)
+        cell is a content-hashed job, evaluated in grid order, which
+        reproduces the historic cell-by-cell outputs exactly.
 
         Args:
             workloads: Parsec kernel names (default: all, sorted).
             scenarios: Scenario members or their string values
                 (default: all).
-            runner: Optional ``CampaignRunner``.
             progress: Optional per-cell streaming callback (see
                 ``repro.dse.runner.Progress``).
 
         Raises:
             KeyError: On unknown kernel names or scenario values.
         """
-        names, chosen = self.validate_grid(workloads, scenarios)
+        from repro.dse.campaign import _drive, _system_plan
 
-        from repro.dse.campaign import run_system_cells
-        from repro.dse.runner import CampaignRunner
-
-        grid = [(name, scenario) for name in names for scenario in chosen]
-        engine = runner if runner is not None else CampaignRunner(workers=1)
-        return run_system_cells(self, grid, engine, progress=progress)
+        plan = _system_plan(self, workloads, scenarios)
+        return _drive(plan, None, workers=1, progress=progress).results
 
     def validate_grid(
         self,
@@ -185,7 +178,7 @@ class MagpieFlow:
         """Validated (kernel names, Scenario list) grid axes.
 
         The single source of kernel/scenario validation, shared with the
-        ``repro.dse`` campaign entry points.
+        ``repro.dse`` system campaigns.
 
         Raises:
             KeyError: On unknown kernel names or scenario values.

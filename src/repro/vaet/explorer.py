@@ -214,20 +214,16 @@ class DesignSpaceExplorer:
     def sweep_subarrays(
         self,
         subarray_rows_options: Sequence[int] = (128, 256, 512),
-        runner=None,
     ) -> List[DesignPoint]:
         """Evaluate the base config at several subarray heights.
 
         The sweep is a thin wrapper over the :mod:`repro.dse` engine:
-        each height becomes a content-hashed job, so a caching/parallel
-        :class:`repro.dse.runner.CampaignRunner` can be passed in to
-        reuse prior evaluations.  The default serial runner reproduces
-        the historic sequential sweep exactly.
+        each height becomes a content-hashed job, run serially and
+        uncached, which reproduces the historic sequential sweep
+        exactly.
 
         Args:
             subarray_rows_options: Subarray heights to evaluate.
-            runner: Optional ``CampaignRunner`` (serial, uncached by
-                default).
         """
         from repro.dse.campaign import memory_point_spec, sweep_points
         from repro.dse.jobs import Job
@@ -239,7 +235,7 @@ class DesignSpaceExplorer:
                 continue
             config = replace(self.base_config, subarray_rows=rows)
             jobs.append(Job(MEMORY_TARGET, memory_point_spec(self, config)))
-        return sweep_points(jobs, runner=runner)
+        return sweep_points(jobs)
 
     @staticmethod
     def render(points: Iterable[DesignPoint]) -> str:
