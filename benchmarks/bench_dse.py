@@ -535,16 +535,16 @@ def evaluator_bench(points=4, scalar_points=2,
     """Per-point wall-clock of the real memory evaluator, both paths.
 
     Times :func:`repro.dse.campaign.evaluate_memory_point` on the
-    production VAET-STT evaluator with the vectorised kernels (the
-    default) and again with ``REPRO_VAET_SCALAR=1`` selecting the
-    cell-at-a-time reference implementations.  The scalar side runs
-    fewer points — it is the slow path by construction — and medians
-    keep single-point noise out of the ratio.
+    production VAET-STT evaluator with the vectorised kernels and again
+    inside :func:`repro.vaet.reference.installed`, which swaps in the
+    cell-at-a-time reference kernels.  The scalar side runs fewer
+    points — it is the slow path by construction — and medians keep
+    single-point noise out of the ratio.
     """
     from repro.dse.campaign import evaluate_memory_point
     from repro.nvsim import MemoryConfig
     from repro.vaet.explorer import DesignConstraints
-    from repro.vaet.variation_model import SCALAR_REFERENCE_ENV
+    from repro.vaet.reference import installed
 
     def spec(seed):
         return {
@@ -565,16 +565,9 @@ def evaluator_bench(points=4, scalar_points=2,
             assert "feasible" in outcome
         return statistics.median(times)
 
-    saved = os.environ.pop(SCALAR_REFERENCE_ENV, None)
-    try:
-        vector = timed(points)
-        os.environ[SCALAR_REFERENCE_ENV] = "1"
+    vector = timed(points)
+    with installed():
         scalar = timed(scalar_points)
-    finally:
-        if saved is None:
-            os.environ.pop(SCALAR_REFERENCE_ENV, None)
-        else:
-            os.environ[SCALAR_REFERENCE_ENV] = saved
     return {
         "points": points,
         "scalar_points": scalar_points,
@@ -841,8 +834,8 @@ def main(argv=None) -> int:
     mode.add_argument(
         "--evaluator", action="store_true",
         help="evaluator fast-path comparison only (vectorised vs "
-             "REPRO_VAET_SCALAR=1 per-point wall-clock on the real "
-             "memory evaluator)",
+             "repro.vaet.reference kernels, per-point wall-clock on "
+             "the real memory evaluator)",
     )
     mode.add_argument(
         "--samplers", action="store_true",

@@ -136,16 +136,13 @@ def _session_tool(session, node_nm: int, config, mc_seed: int, population: int):
 
     The key is everything the tool's results depend on except the
     reliability constraints: node, organisation, Monte Carlo seed and
-    population, and the scalar-reference flag (which selects the
-    kernels, so a flip mid-session must not reuse the other's state).
-    All the session's tools share one memo of per-bit WER budget
-    solves, which depend on the word width and targets only.
+    population.  All the session's tools share one memo of per-bit WER
+    budget solves, which depend on the word width and targets only.
     """
     from repro.vaet.estimator import VAETSTT
-    from repro.vaet.variation_model import scalar_reference_enabled
 
     tools = session.memo("vaet-tools", OrderedDict)
-    key = (node_nm, config, mc_seed, population, scalar_reference_enabled())
+    key = (node_nm, config, mc_seed, population)
     if key in tools:
         tools.move_to_end(key)
         return tools[key]

@@ -94,7 +94,8 @@ def dominance_ranks(
     vectors = np.array([_values(record, parsed) for record in records], float)
     # dominates[j, i]: record j dominates record i.  NaN compares false
     # in numpy exactly as in python, so non-finite vectors neither
-    # dominate nor are dominated — identical to the scalar reference.
+    # dominate nor are dominated — identical to the scalar peel loop
+    # the tests pin this sort against.
     less_eq = (vectors[:, None, :] <= vectors[None, :, :]).all(axis=2)
     strictly = (vectors[:, None, :] < vectors[None, :, :]).any(axis=2)
     dominated_by = less_eq & strictly
@@ -110,37 +111,6 @@ def dominance_ranks(
         remaining &= ~front
         rank += 1
     return ranks.tolist()
-
-
-def _dominance_ranks_reference(
-    records: Sequence[Mapping], objectives: Sequence[ObjectiveSpec]
-) -> List[int]:
-    """Scalar reference for :func:`dominance_ranks` (tests pin equality).
-
-    The original peel loop: re-scan ``remaining`` for every candidate,
-    O(n^2) per front.  Kept as the semantic baseline the vectorised
-    implementation must reproduce rank-for-rank.
-    """
-    parsed = [Objective.parse(o) for o in objectives]
-    vectors = [_values(record, parsed) for record in records]
-    ranks = [-1] * len(records)
-    remaining = list(range(len(records)))
-    rank = 0
-    while remaining:
-        front = []
-        for i in remaining:
-            dominated = any(
-                j != i and _vector_dominates(vectors[j], vectors[i])
-                for j in remaining
-            )
-            if not dominated:
-                front.append(i)
-        for i in front:
-            ranks[i] = rank
-        front_set = set(front)
-        remaining = [i for i in remaining if i not in front_set]
-        rank += 1
-    return ranks
 
 
 def update_front(

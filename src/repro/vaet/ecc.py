@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 from scipy import optimize, stats
 
 from repro.vaet.error_rates import ErrorRateAnalysis
-from repro.vaet.variation_model import scalar_reference_enabled
 
 
 def bch_parity_bits(data_bits: int, correct_bits: int) -> int:
@@ -109,15 +108,14 @@ class ECCAnalysis:
         self.analysis = analysis
         self.engine = analysis.engine
         self.budgets = {} if budgets is None else budgets
-        self._floors: Dict[bool, float] = {}
+        self._floor: Optional[float] = None
 
     def stuck_floor(self) -> float:
         """Population-mean per-cell WER no pulse can beat (1 s pulse:
-        only stuck cells remain), computed once per kernel choice."""
-        kernels = scalar_reference_enabled()
-        if kernels not in self._floors:
-            self._floors[kernels] = self.analysis.mean_cell_wer(1.0)
-        return self._floors[kernels]
+        only stuck cells remain), computed once."""
+        if self._floor is None:
+            self._floor = self.analysis.mean_cell_wer(1.0)
+        return self._floor
 
     def _pulse_for_per_bit_wer(self, per_bit: float) -> float:
         """Invert the population-mean per-cell WER for a pulse width."""

@@ -26,7 +26,7 @@ from scipy.special import ndtr
 
 from repro.nvsim.subarray import SENSE_MARGIN
 from repro.vaet.montecarlo import MonteCarloEngine
-from repro.vaet.variation_model import CellSamples, scalar_reference_enabled
+from repro.vaet.variation_model import CellSamples
 
 
 @dataclass(frozen=True)
@@ -93,23 +93,13 @@ class ErrorRateAnalysis:
         """
         if pulse_width <= 0.0:
             return 1.0
-        if scalar_reference_enabled():
-            return self._mean_cell_wer_scalar(pulse_width)
+        return self._mean_cell_wer(pulse_width)
+
+    def _mean_cell_wer(self, pulse_width: float) -> float:
+        """The :meth:`mean_cell_wer` kernel for a positive pulse width."""
         per_cell = self._envelope * np.exp(-2.0 * self._rates * pulse_width)
         per_cell = np.where(self._switching, np.minimum(per_cell, 1.0), 1.0)
         return float(np.mean(per_cell))
-
-    def _mean_cell_wer_scalar(self, pulse_width: float) -> float:
-        """Reference kernel: one cell at a time (``REPRO_VAET_SCALAR``)."""
-        terms = []
-        for envelope, rate, switching in zip(
-            self._envelope, self._rates, self._switching
-        ):
-            if switching:
-                terms.append(min(envelope * math.exp(-2.0 * rate * pulse_width), 1.0))
-            else:
-                terms.append(1.0)
-        return math.fsum(terms) / len(terms)
 
     def word_wer(self, pulse_width) -> float:
         """Expected per-word WER at a per-phase pulse width.
@@ -182,21 +172,14 @@ class ErrorRateAnalysis:
             return self._word_rer_batch(np.asarray(sense_time, dtype=float), sigma)
         if sense_time <= 0.0:
             return 1.0
-        if scalar_reference_enabled():
-            return self._word_rer_scalar(float(sense_time), sigma)
+        return min(1.0, self._mean_cell_rer(sense_time, sigma) * self.engine.word_bits)
+
+    def _mean_cell_rer(self, sense_time: float, sigma: float) -> float:
+        """Population-mean per-cell RER at a positive sense time."""
         # ndtr(-x) is scipy's own norm.sf(x) without the distribution
         # dispatch overhead (stats._norm_sf(x) = _norm_cdf(-x)).
         per_cell = ndtr(-(self._developed_per_second * sense_time / sigma))
-        return min(1.0, float(np.mean(per_cell)) * self.engine.word_bits)
-
-    def _word_rer_scalar(self, sense_time: float, sigma: float) -> float:
-        """Reference kernel: one cell at a time (``REPRO_VAET_SCALAR``)."""
-        terms = [
-            float(ndtr(-(developed * sense_time / sigma)))
-            for developed in self._developed_per_second
-        ]
-        mean_rer = math.fsum(terms) / len(terms)
-        return min(1.0, mean_rer * self.engine.word_bits)
+        return float(np.mean(per_cell))
 
     def _word_rer_batch(self, sense_times: np.ndarray, sigma: float) -> np.ndarray:
         """Vectorised :meth:`word_rer` over an array of sense times."""

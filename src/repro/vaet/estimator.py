@@ -25,7 +25,7 @@ from repro.vaet.ecc import ECCAnalysis, ECCPoint
 from repro.vaet.error_rates import ErrorRateAnalysis, ReadMarginResult
 from repro.vaet.montecarlo import MonteCarloEngine
 from repro.vaet.read_disturb import ReadDisturbAnalysis
-from repro.vaet.variation_model import VariationModel, scalar_reference_enabled
+from repro.vaet.variation_model import VariationModel
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,11 @@ class VariationAwareEstimate:
 
 
 def _memoised(memo: Dict[tuple, tuple], key: tuple, compute: Callable[[], object]):
-    """``compute()`` memoised under ``key`` and the kernel choice.
+    """``compute()`` memoised under ``key``.
 
     A ValueError (a target the array cannot reach) is memoised too and
     raised again on every hit.
     """
-    key = key + (scalar_reference_enabled(),)
     if key not in memo:
         try:
             memo[key] = (True, compute())

@@ -3,17 +3,20 @@
 Writes: a word completes when its slowest bit has switched; two-phase
 row writes double the pulse stage.  Reads: the word is sensed in
 parallel and completes when the weakest-signal bit has developed the
-required margin.  Both are sampled fully vectorised.
+required margin.  Both are sampled fully vectorised; the word
+reductions have cell-at-a-time references in :mod:`repro.vaet.reference`.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.nvsim.bank import BankTiming
 from repro.nvsim.subarray import SubarrayTiming
-from repro.vaet.variation_model import VariationModel, scalar_reference_enabled
+from repro.vaet.variation_model import VariationModel
+
+#: Completion time charged to a word holding a non-switching cell [s].
+STUCK_WORD_TIME = 100e-9
 
 
 @dataclass
@@ -95,62 +98,24 @@ class MonteCarloEngine:
         cells = self.variation.sample_cells(rng, num_words * self.word_bits)
         times = self.variation.sample_switching_times(cells, rng)
         currents = self.variation.delivered_write_current(cells)
-        if scalar_reference_enabled():
-            return self._sample_writes_scalar(
-                times, currents, num_words, margin_sigmas
-            )
-        matrix = times.reshape(num_words, self.word_bits)
-        finite = np.where(np.isfinite(matrix), matrix, np.nan)
-        word_max = np.nanmax(finite, axis=1)
-        # Words containing a non-switching cell get the window cap.
-        word_max = np.where(np.isnan(word_max), 100e-9, word_max)
-        has_stuck = np.any(~np.isfinite(matrix), axis=1)
-        word_max = np.where(has_stuck, 100e-9, word_max)
+        word_max, word_current = self._write_words(times, currents, num_words)
         latency = self._overhead + 2.0 * word_max
-
         applied_pulse = 2.0 * (
             float(np.mean(word_max)) + margin_sigmas * float(np.std(word_max))
         )
-        current_matrix = currents.reshape(num_words, self.word_bits)
-        cell_energy = np.sum(current_matrix, axis=1) * self._vdd * applied_pulse / 2.0
         # The /2 reflects that each bit conducts in only one of the two
         # phases (half the bits per phase on average).
-        energy = self._periphery_energy + cell_energy
+        energy = self._periphery_energy + word_current * self._vdd * applied_pulse / 2.0
         return WriteSamples(latency=latency, energy=energy, cell_times=times)
 
-    def _sample_writes_scalar(
-        self, times, currents, num_words: int, margin_sigmas: float
-    ) -> WriteSamples:
-        """Word-at-a-time reference reduction (``REPRO_VAET_SCALAR``).
-
-        Same statistics as the vectorised path from the same per-cell
-        samples; word maxima are exact, the mean/std/energy sums differ
-        from numpy's pairwise summation only in the last ulp.
-        """
-        word_max = np.empty(num_words)
-        word_current = np.empty(num_words)
-        for w in range(num_words):
-            worst = 0.0
-            stuck = False
-            total_current = 0.0
-            for b in range(self.word_bits):
-                t = times[w * self.word_bits + b]
-                if not np.isfinite(t):
-                    stuck = True
-                else:
-                    worst = max(worst, t)
-                total_current += currents[w * self.word_bits + b]
-            word_max[w] = 100e-9 if stuck else worst
-            word_current[w] = total_current
-        mean = math.fsum(word_max) / num_words
-        variance = math.fsum((t - mean) ** 2 for t in word_max) / num_words
-        applied_pulse = 2.0 * (mean + margin_sigmas * math.sqrt(variance))
-        latency = self._overhead + 2.0 * word_max
-        energy = (
-            self._periphery_energy
-            + word_current * self._vdd * applied_pulse / 2.0
-        )
-        return WriteSamples(latency=latency, energy=energy, cell_times=times)
+    def _write_words(self, times, currents, num_words: int):
+        """Per-word write reduction: the slowest switching time (the
+        window cap for a word holding a stuck cell) and summed current."""
+        matrix = times.reshape(num_words, self.word_bits)
+        stuck = ~np.isfinite(matrix)
+        word_max = np.where(stuck, 0.0, matrix).max(axis=1)
+        word_max = np.where(stuck.any(axis=1), STUCK_WORD_TIME, word_max)
+        return word_max, currents.reshape(num_words, self.word_bits).sum(axis=1)
 
     def sample_reads(
         self, rng: np.random.Generator, num_words: int
@@ -170,60 +135,19 @@ class MonteCarloEngine:
         nominal_signal = float(np.median(signals))
         cdv = self.leaf.sense.develop_time * nominal_signal
         develop = cdv / np.maximum(signals, 1e-9)
-        if scalar_reference_enabled():
-            return self._sample_reads_scalar(cells, signals, develop, num_words)
-        matrix = develop.reshape(num_words, self.word_bits)
-        word_develop = np.max(matrix, axis=1)
+        read_currents = READ_BIAS / (
+            cells.resistance_p
+            + self.variation._fixed_path_r / np.sqrt(cells.drive_strength)
+        )
+        word_develop, word_current = self._read_words(
+            develop, read_currents, num_words
+        )
         regen = self.leaf.sense.delay - self.leaf.sense.develop_time
         latency = self._overhead + word_develop + regen
 
         # Energy: mirror the nominal decomposition (periphery + wordline
         # + per-bit bitline swing + sense static) and add the per-cell
         # conduction term, which scales with the word's develop time.
-        read_currents = READ_BIAS / (
-            cells.resistance_p
-            + self.variation._fixed_path_r / np.sqrt(cells.drive_strength)
-        )
-        current_matrix = read_currents.reshape(num_words, self.word_bits)
-        bit_energy = (
-            np.sum(current_matrix, axis=1) * READ_BIAS * np.maximum(word_develop, 0.0)
-        )
-        subarray = self.variation.subarray
-        wordline = self._active_subarrays * subarray.wordline_energy()
-        bitline_swing = (
-            self.word_bits
-            * subarray.bitline.capacitance
-            * READ_BIAS
-            * self._vdd
-        )
-        sense_static = self.word_bits * self.leaf.sense.energy
-        energy = (
-            self._periphery_energy + wordline + bitline_swing + sense_static + bit_energy
-        )
-        return ReadSamples(latency=latency, energy=energy, signal_currents=signals)
-
-    def _sample_reads_scalar(
-        self, cells, signals, develop, num_words: int
-    ) -> ReadSamples:
-        """Word-at-a-time reference reduction (``REPRO_VAET_SCALAR``)."""
-        from repro.nvsim.subarray import READ_BIAS
-
-        read_currents = READ_BIAS / (
-            cells.resistance_p
-            + self.variation._fixed_path_r / np.sqrt(cells.drive_strength)
-        )
-        word_develop = np.empty(num_words)
-        word_current = np.empty(num_words)
-        for w in range(num_words):
-            worst = -np.inf
-            total_current = 0.0
-            for b in range(self.word_bits):
-                worst = max(worst, develop[w * self.word_bits + b])
-                total_current += read_currents[w * self.word_bits + b]
-            word_develop[w] = worst
-            word_current[w] = total_current
-        regen = self.leaf.sense.delay - self.leaf.sense.develop_time
-        latency = self._overhead + word_develop + regen
         bit_energy = word_current * READ_BIAS * np.maximum(word_develop, 0.0)
         subarray = self.variation.subarray
         wordline = self._active_subarrays * subarray.wordline_energy()
@@ -238,3 +162,10 @@ class MonteCarloEngine:
             self._periphery_energy + wordline + bitline_swing + sense_static + bit_energy
         )
         return ReadSamples(latency=latency, energy=energy, signal_currents=signals)
+
+    def _read_words(self, develop, currents, num_words: int):
+        """Per-word read reduction: the slowest develop time and summed
+        current."""
+        shape = (num_words, self.word_bits)
+        return (develop.reshape(shape).max(axis=1),
+                currents.reshape(shape).sum(axis=1))

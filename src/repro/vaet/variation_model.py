@@ -14,10 +14,11 @@ variation sources are sampled jointly, all vectorised with numpy so a
 
 plus the *stochastic* (not process) initial-angle draw per write event,
 which is what gives even one fixed cell a switching-time distribution.
+Cell-at-a-time references for the sampling kernels, used to pin these
+against, live in :mod:`repro.vaet.reference`.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,19 +33,6 @@ from repro.utils.constants import (
     MU_0,
     ROOM_TEMPERATURE,
 )
-
-
-#: Environment flag selecting the cell-at-a-time reference kernels.
-#: The reference draws each variation source in the same order as the
-#: vectorised path (one ``Generator`` stream element per cell), so the
-#: random streams are bit-identical and the fast path can be pinned
-#: against it to the last ulp — see tests/vaet/test_vector_equivalence.py.
-SCALAR_REFERENCE_ENV = "REPRO_VAET_SCALAR"
-
-
-def scalar_reference_enabled() -> bool:
-    """True when the scalar (loop-based) reference kernels are forced."""
-    return os.environ.get(SCALAR_REFERENCE_ENV, "") not in ("", "0")
 
 
 def oblate_demag_factor_vec(aspect: np.ndarray) -> np.ndarray:
@@ -146,8 +134,6 @@ class VariationModel:
 
     def sample_cells(self, rng: np.random.Generator, size: int) -> CellSamples:
         """Draw ``size`` independent cell instances."""
-        if scalar_reference_enabled():
-            return self._sample_cells_scalar(rng, size)
         mtj_var = self.pdk.variation.mtj
         material = self._material
         diameter = self._d0 * np.maximum(
@@ -192,66 +178,6 @@ class VariationModel:
             rate_prefactor=rate_prefactor,
         )
 
-    def _sample_cells_scalar(self, rng: np.random.Generator, size: int) -> CellSamples:
-        """Cell-at-a-time reference sampler (``REPRO_VAET_SCALAR``).
-
-        Draw order matches :meth:`sample_cells` — every variation
-        source is consumed as ``size`` sequential scalar draws, which a
-        ``Generator`` produces from exactly the same stream elements as
-        one vectorised draw of ``size`` — and the per-cell physics uses
-        the same ufuncs one element at a time.  The populations agree
-        to the last ulp (numpy's array ufunc loops may round a rare
-        element differently than their scalar counterparts; the
-        underlying random draws are bit-identical).
-        """
-        mtj_var = self.pdk.variation.mtj
-        material = self._material
-        ra_sigma = mtj_var.ra_thickness_sensitivity * mtj_var.mgo_thickness_sigma_rel
-        d_draws = [rng.normal(0.0, mtj_var.diameter_sigma_rel) for _ in range(size)]
-        ra_draws = [rng.normal(0.0, ra_sigma) for _ in range(size)]
-        tmr_draws = [rng.normal(0.0, mtj_var.tmr_sigma_rel) for _ in range(size)]
-        strength_draws = [
-            rng.normal(0.0, self._strength_sigma) for _ in range(size)
-        ]
-        columns = {
-            name: np.empty(size)
-            for name in (
-                "diameter", "delta", "critical_current", "resistance_p",
-                "resistance_ap_write", "drive_strength", "rate_prefactor",
-            )
-        }
-        for i in range(size):
-            diameter = self._d0 * np.maximum(0.3, 1.0 + d_draws[i])
-            hk = self._hk_eff(diameter)
-            delta = self._delta(diameter, hk)
-            area = math.pi * (diameter / 2.0) ** 2
-            r_p = self._ra * np.exp(ra_draws[i]) / area
-            tmr = self._tmr_nominal * np.maximum(0.2, 1.0 + tmr_draws[i])
-            tmr_write = tmr / (1.0 + (self._write_bias / self._vh) ** 2)
-            columns["diameter"][i] = diameter
-            columns["delta"][i] = delta
-            columns["critical_current"][i] = (
-                4.0
-                * ELEMENTARY_CHARGE
-                * material.damping
-                * delta
-                * BOLTZMANN
-                * self.temperature
-                / (HBAR * material.polarization)
-            )
-            columns["resistance_p"][i] = r_p
-            columns["resistance_ap_write"][i] = r_p * (1.0 + tmr_write)
-            columns["drive_strength"][i] = np.maximum(
-                0.3, 1.0 + strength_draws[i]
-            )
-            columns["rate_prefactor"][i] = (
-                material.damping
-                * GILBERT_GYROMAGNETIC
-                * np.maximum(hk, 0.0)
-                / (1.0 + material.damping ** 2)
-            )
-        return CellSamples(**columns)
-
     # -- write events ---------------------------------------------------
 
     def delivered_write_current(self, cells: CellSamples) -> np.ndarray:
@@ -279,18 +205,15 @@ class VariationModel:
         (rate 0) return +inf.
         """
         rates = self.switching_rates(cells)
-        if scalar_reference_enabled():
-            theta0_sq = np.array([
-                rng.exponential(1.0 / np.maximum(cells.delta[i], 1.0))
-                for i in range(len(cells))
-            ])
-        else:
-            theta0_sq = rng.exponential(1.0 / np.maximum(cells.delta, 1.0))
-        theta0 = np.sqrt(np.maximum(theta0_sq, 1e-12))
+        theta0 = np.sqrt(np.maximum(self._theta0_squared(cells, rng), 1e-12))
         log_term = np.log(np.maximum(math.pi / 2.0 / theta0, 1.0 + 1e-9))
         with np.errstate(divide="ignore"):
             times = np.where(rates > 0.0, log_term / np.maximum(rates, 1e-30), np.inf)
         return times
+
+    def _theta0_squared(self, cells: CellSamples, rng: np.random.Generator) -> np.ndarray:
+        """One thermal initial-angle draw theta_0^2 ~ Exp(1/Delta) per cell."""
+        return rng.exponential(1.0 / np.maximum(cells.delta, 1.0))
 
     # -- read events ------------------------------------------------------
 

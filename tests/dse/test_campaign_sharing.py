@@ -43,7 +43,6 @@ from repro.vaet import ecc
 from repro.vaet.error_rates import ErrorRateAnalysis
 from repro.vaet.estimator import VAETSTT
 from repro.vaet.explorer import DesignConstraints, DesignSpaceExplorer
-from repro.vaet.variation_model import SCALAR_REFERENCE_ENV
 
 SETTINGS = dict(num_words=60, error_population=2000)
 
@@ -189,7 +188,7 @@ class TestSharingScope:
             assert len(constructions) == len(rows) + 1
             assert len(tools) == SHARED_TOOL_WINDOW
 
-    def test_key_separates_seed_population_and_kernels(self, monkeypatch):
+    def test_key_separates_node_config_seed_and_population(self, monkeypatch):
         session = EvaluationSession()
         config = MemoryConfig(word_bits=16)
         monkeypatch.setattr(
@@ -197,9 +196,6 @@ class TestSharingScope:
         )
         base = _session_tool(session, 45, config, 1, 2000)
         assert _session_tool(session, 45, config, 1, 2000) is base
-        monkeypatch.setenv(SCALAR_REFERENCE_ENV, "1")
-        assert _session_tool(session, 45, config, 1, 2000) is not base
-        monkeypatch.delenv(SCALAR_REFERENCE_ENV)
         others = [
             _session_tool(session, 65, config, 1, 2000),
             _session_tool(session, 45, config, 2, 2000),
@@ -246,14 +242,20 @@ class TestToolContract:
         assert tool.ecc_point(0, 1e-12) is tool.ecc_point(0, 1e-12)
         assert tool.estimate(60) is tool.estimate(60)
 
-    def test_memo_keys_the_kernel_choice(self, monkeypatch):
+    def test_retired_scalar_env_var_is_ignored(self, monkeypatch):
+        # The reference kernels are reached only through
+        # repro.vaet.reference.installed(); the old environment
+        # variable neither switches kernels nor splits the memos.
         tool = VAETSTT(
             ProcessDesignKit.for_node(45), MemoryConfig(word_bits=16),
             error_population=2000,
         )
         fast = tool.read_margin(1e-9)
-        monkeypatch.setenv(SCALAR_REFERENCE_ENV, "1")
-        assert tool.read_margin(1e-9) is not fast
+        monkeypatch.delenv("REPRO_VAET_SCALAR", raising=False)
+        unset = evaluate_memory_point(_spec(), 0)
+        monkeypatch.setenv("REPRO_VAET_SCALAR", "1")
+        assert tool.read_margin(1e-9) is fast
+        assert evaluate_memory_point(_spec(), 0) == unset
 
 
 class TestBudgetSolves:

@@ -1,9 +1,10 @@
 """Edge branches of the error-rate and Monte-Carlo kernels.
 
 Unit tests for paths the campaign-level suites do not reach: stuck
-(non-switching) cells through both the vectorised and scalar-reference
-WER kernels, margin-solver input validation, the read-margin solve,
-and the stuck-bit cap inside the scalar write reduction.
+(non-switching) cells through both the vectorised and reference
+(:mod:`repro.vaet.reference`) WER kernels, margin-solver input
+validation, the read-margin solve, and the stuck-bit cap inside the
+reference write reduction.
 """
 
 import numpy as np
@@ -11,9 +12,8 @@ import pytest
 
 from repro.nvsim import MemoryConfig
 from repro.pdk import ProcessDesignKit
-from repro.vaet import VAETSTT
+from repro.vaet import VAETSTT, reference
 from repro.vaet.error_rates import ErrorRateAnalysis
-from repro.vaet.variation_model import SCALAR_REFERENCE_ENV
 
 POPULATION = 200
 
@@ -41,12 +41,11 @@ class TestStuckCells:
         monkeypatch.setattr(analysis, "_switching", switching)
         return analysis
 
-    def test_scalar_matches_vector_with_stuck_cells(self, stuck, monkeypatch):
-        monkeypatch.delenv(SCALAR_REFERENCE_ENV, raising=False)
+    def test_scalar_matches_vector_with_stuck_cells(self, stuck):
         fast = stuck.mean_cell_wer(20e-9)
-        monkeypatch.setenv(SCALAR_REFERENCE_ENV, "1")
-        reference = stuck.mean_cell_wer(20e-9)
-        assert fast == pytest.approx(reference, rel=1e-12)
+        with reference.installed():
+            slow = stuck.mean_cell_wer(20e-9)
+        assert fast == pytest.approx(slow, rel=1e-12)
         assert fast >= self.STUCK / POPULATION
 
     def test_long_pulse_floors_at_stuck_fraction(self, stuck):
@@ -93,26 +92,21 @@ class TestScalarWriteReduction:
         times = np.full(2 * bits, 5e-9)
         times[3] = np.inf  # word 0 contains a stuck bit
         currents = np.full(2 * bits, 50e-6)
-        samples = engine._sample_writes_scalar(
-            times, currents, 2, margin_sigmas=0.0
-        )
-        assert samples.latency[0] == pytest.approx(
-            engine._overhead + 2.0 * 100e-9
-        )
-        assert samples.latency[1] == pytest.approx(
-            engine._overhead + 2.0 * 5e-9
-        )
-        assert np.all(np.isfinite(samples.energy))
-        np.testing.assert_array_equal(samples.cell_times, times)
+        word_max, word_current = reference.write_words(engine, times, currents, 2)
+        np.testing.assert_array_equal(word_max, [100e-9, 5e-9])
+        np.testing.assert_allclose(word_current, bits * 50e-6, rtol=1e-12)
+        # The vectorised reduction agrees on the same per-cell samples.
+        fast_max, fast_current = engine._write_words(times, currents, 2)
+        np.testing.assert_array_equal(fast_max, word_max)
+        np.testing.assert_allclose(fast_current, word_current, rtol=1e-12)
 
-    def test_matches_vector_reduction_on_stuck_words(self, tool, monkeypatch):
+    def test_matches_vector_reduction_on_stuck_words(self, tool):
         # The vectorised sample_writes caps stuck words at the same
         # 100 ns window; drive both reductions from identical per-cell
         # samples by pinning the RNG seed.
-        monkeypatch.delenv(SCALAR_REFERENCE_ENV, raising=False)
         vector = tool.engine.sample_writes(np.random.default_rng(3), 40)
-        monkeypatch.setenv(SCALAR_REFERENCE_ENV, "1")
-        reference = tool.engine.sample_writes(np.random.default_rng(3), 40)
+        with reference.installed():
+            slow = tool.engine.sample_writes(np.random.default_rng(3), 40)
         np.testing.assert_allclose(
-            vector.latency, reference.latency, rtol=1e-12
+            vector.latency, slow.latency, rtol=1e-12
         )
